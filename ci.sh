@@ -9,6 +9,11 @@ cargo build --release
 echo "== tests =="
 cargo test -q
 
+# perfbench builds against the program's crates by path and checks their
+# outputs; an API change that breaks its build or its checks fails here.
+echo "== benchmark suite (perfbench) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== warm-start equivalence (thread counts 1 and 4) =="
 # The warm-start layer must be objective-invariant regardless of the
 # parallel fan-out width; the test itself also flips thread counts
@@ -167,6 +172,7 @@ PY
 # committed repo-root BENCH_throughput.json.
 echo "== streaming throughput gate =="
 NWDP_THREADS=1 cargo test -q --test parallel_equivalence
+NWDP_THREADS=2 cargo test -q --test parallel_equivalence
 NWDP_THREADS=4 cargo test -q --test parallel_equivalence
 repo_root="$PWD"
 (cd "$metrics_tmp" && NWDP_SHARDS=3 "$repo_root/target/release/repro" throughput --quick \

@@ -205,12 +205,14 @@ pub fn hottest_table(j: &Journal, top: usize) -> Table {
 }
 
 /// Shard utilization of streaming data-plane runs: for every
-/// `engine.stream` span, the `engine.stream_shard` workers that ran inside
-/// its wall-clock window (time containment, not span ancestry — the shard
-/// spans sit under `parallel.worker` parents when the fan-out is
-/// threaded). Busy is the summed shard wall time; idle is the rest of the
-/// `workers × wall` slot area, i.e. time workers spent waiting on the
-/// slowest shard. Returns `None` when the journal has no streaming runs.
+/// `engine.stream` span, the `engine.stream_shard` spans (one per lane and
+/// chunk) that ran inside its wall-clock window (time containment, not
+/// span ancestry — the shard spans sit under `parallel.worker` parents
+/// when the fan-out is threaded). Workers is the most shard spans open at
+/// once; busy is their summed wall time; idle is the rest of the
+/// `workers × wall` slot area, i.e. time workers spent routing or waiting
+/// on the slowest lane. Returns `None` when the journal has no streaming
+/// runs.
 pub fn stream_shard_table(j: &Journal) -> Option<Table> {
     let streams: Vec<&SpanRec> = j.spans.iter().filter(|s| s.name == "engine.stream").collect();
     if streams.is_empty() {
@@ -221,7 +223,7 @@ pub fn stream_shard_table(j: &Journal) -> Option<Table> {
         &["run", "workers", "wall_s", "busy_s", "idle_s", "busy_pct"],
     );
     for (i, run) in streams.iter().enumerate() {
-        let shard_durs: Vec<u64> = j
+        let shards: Vec<&SpanRec> = j
             .spans
             .iter()
             .filter(|s| {
@@ -229,10 +231,9 @@ pub fn stream_shard_table(j: &Journal) -> Option<Table> {
                     && s.start_ns >= run.start_ns
                     && s.start_ns <= run.end_ns
             })
-            .map(SpanRec::dur_ns)
             .collect();
-        let workers = shard_durs.len() as u64;
-        let busy: u64 = shard_durs.iter().sum();
+        let workers = peak_overlap(&shards);
+        let busy: u64 = shards.iter().map(|s| s.dur_ns()).sum();
         let slots = workers * run.dur_ns();
         let idle = slots.saturating_sub(busy);
         t.row(vec![
@@ -245,6 +246,20 @@ pub fn stream_shard_table(j: &Journal) -> Option<Table> {
         ]);
     }
     Some(t)
+}
+
+/// Most spans open at the same instant (a span ending as another starts
+/// does not overlap it).
+fn peak_overlap(spans: &[&SpanRec]) -> u64 {
+    let mut edges: Vec<(u64, i64)> =
+        spans.iter().flat_map(|s| [(s.start_ns, 1), (s.end_ns, -1)]).collect();
+    edges.sort_unstable(); // at equal times the close (-1) sorts first
+    let (mut open, mut peak) = (0i64, 0i64);
+    for (_, step) in edges {
+        open += step;
+        peak = peak.max(open);
+    }
+    peak as u64
 }
 
 fn counter(doc: &Json, name: &str) -> u64 {
@@ -648,6 +663,20 @@ mod tests {
         assert_eq!(t.rows[0][5], "60.0%");
         // A journal without streaming runs yields no table.
         assert!(stream_shard_table(&parse_journal(synthetic())).is_none());
+
+        // Serial lanes, one chunk each, back to back: one worker.
+        let serial = concat!(
+            "{\"ev\":\"B\",\"name\":\"engine.stream\",\"id\":1,\"parent\":null,\"tid\":0,\"ts\":0}\n",
+            "{\"ev\":\"B\",\"name\":\"engine.stream_shard\",\"id\":2,\"parent\":1,\"tid\":0,\"ts\":1000000}\n",
+            "{\"ev\":\"E\",\"id\":2,\"tid\":0,\"ts\":4000000}\n",
+            "{\"ev\":\"B\",\"name\":\"engine.stream_shard\",\"id\":3,\"parent\":1,\"tid\":0,\"ts\":4000000}\n",
+            "{\"ev\":\"E\",\"id\":3,\"tid\":0,\"ts\":9000000}\n",
+            "{\"ev\":\"E\",\"id\":1,\"tid\":0,\"ts\":10000000}\n",
+        );
+        let t = stream_shard_table(&parse_journal(serial)).expect("journal has a streaming run");
+        assert_eq!(t.rows[0][1], "1");
+        assert_eq!(t.rows[0][3], "0.008");
+        assert_eq!(t.rows[0][5], "80.0%");
     }
 
     #[test]

@@ -184,8 +184,26 @@ pub fn table(r: &ThroughputRun) -> Table {
     t
 }
 
+/// Commit of the working tree the bench runs in (`-dirty` when it has
+/// uncommitted changes), or "unknown" outside a git work tree.
+fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// Cores the host offers, whatever `NWDP_THREADS` says.
+fn nproc() -> usize {
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+}
+
 /// Append `r` to the trajectory file (`{"version":1,"runs":[...]}`),
-/// creating it if absent. Returns the new entry's 1-based sequence number.
+/// creating it if absent, tagged with the commit and the host's core
+/// count. Returns the new entry's 1-based sequence number.
 ///
 /// A file that exists but does not parse as a trajectory is **never
 /// overwritten** (an earlier version silently reset `runs` to empty and the
@@ -208,6 +226,8 @@ pub fn append_trajectory(path: &Path, r: &ThroughputRun) -> std::io::Result<usiz
             ("batch_wall_s", obs::Json::Num(r.batch_wall_s)),
             ("speedup_vs_batch", obs::Json::Num(r.speedup_vs_batch)),
             ("total_packets", obs::Json::Num(r.total_packets as f64)),
+            ("commit", obs::Json::Str(commit())),
+            ("nproc", obs::Json::Num(nproc() as f64)),
         ],
     )
 }
@@ -246,6 +266,8 @@ mod tests {
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[1].get("seq"), Some(&obs::Json::Num(2.0)));
         assert_eq!(runs[0].get("sessions_per_sec"), Some(&obs::Json::Num(200.0)));
+        assert!(matches!(runs[0].get("nproc"), Some(obs::Json::Num(n)) if *n >= 1.0));
+        assert!(matches!(runs[0].get("commit"), Some(obs::Json::Str(c)) if !c.is_empty()));
         let _ = std::fs::remove_file(&path);
     }
 

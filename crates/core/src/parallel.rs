@@ -211,26 +211,6 @@ where
     par_map_n(items.len(), |i| f(i, &items[i]))
 }
 
-/// Map `f` over the `rows × cols` grid, fanning all cells out across
-/// threads as one flat task pool (so an idle row never strands workers);
-/// results come back grouped per row, cells in column order. `f` receives
-/// `(row, col)`. The streaming engine uses this for its node × shard
-/// fan-out.
-pub fn par_map_grid<R, F>(rows: usize, cols: usize, f: F) -> Vec<Vec<R>>
-where
-    R: Send,
-    F: Fn(usize, usize) -> R + Sync,
-{
-    let cols = cols.max(1);
-    let flat = par_map_n(rows * cols, |i| f(i / cols, i % cols));
-    let mut out: Vec<Vec<R>> = Vec::with_capacity(rows);
-    let mut it = flat.into_iter();
-    for _ in 0..rows {
-        out.push(it.by_ref().take(cols).collect());
-    }
-    out
-}
-
 /// Map `f` over contiguous chunks of `items` (at most `chunk` elements
 /// each), fanning the chunks out across threads. Results are one `R` per
 /// chunk, in chunk order; `f` receives `(chunk_start_index, chunk)`.
@@ -275,20 +255,6 @@ mod tests {
         let sums = with_threads(3, || par_chunks(&items, 64, |_, c| c.iter().sum::<usize>()));
         assert_eq!(sums.len(), 1000usize.div_ceil(64));
         assert_eq!(sums.iter().sum::<usize>(), items.iter().sum::<usize>());
-    }
-
-    #[test]
-    fn par_map_grid_groups_rows_in_order() {
-        for threads in [1, 3, 8] {
-            let got = with_threads(threads, || par_map_grid(4, 3, |r, c| 10 * r + c));
-            assert_eq!(got.len(), 4, "threads={threads}");
-            for (r, row) in got.iter().enumerate() {
-                assert_eq!(row, &vec![10 * r, 10 * r + 1, 10 * r + 2], "threads={threads}");
-            }
-        }
-        assert_eq!(par_map_grid(0, 5, |r, c| (r, c)), Vec::<Vec<(usize, usize)>>::new());
-        // Zero columns clamp to one cell per row.
-        assert_eq!(par_map_grid(2, 0, |r, c| (r, c)), vec![vec![(0, 0)], vec![(1, 0)]]);
     }
 
     #[test]

@@ -33,6 +33,19 @@ impl ConnHashes {
     }
 }
 
+/// Most modules one engine can run: the width of
+/// [`ConnRecord::enabled`].
+pub const MAX_MODULES: usize = u64::BITS as usize;
+
+/// Bitmask with the low `n` bits set: every one of `n` modules enabled.
+fn all_modules(n: usize) -> u64 {
+    if n >= MAX_MODULES {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
+    }
+}
+
 /// A connection record.
 #[derive(Debug, Clone)]
 pub struct ConnRecord {
@@ -46,13 +59,21 @@ pub struct ConnRecord {
     /// Coordination hashes (populated only in coordinated deployments).
     pub hashes: ConnHashes,
     /// Per-module analysis opt-in decided at connection setup (used by the
-    /// event-engine check placement): `enabled[m]` = module `m` analyzes
-    /// this connection.
-    pub enabled: Vec<bool>,
+    /// event-engine check placement): bit `m` set = module `m` analyzes
+    /// this connection. A bitmask, so creating a record allocates nothing;
+    /// engines run at most [`MAX_MODULES`] modules.
+    pub enabled: u64,
     /// §2.5 fine-grained extension: the connection is tracked in a
     /// lightweight record because every interested module consumes only
     /// connection-level events (no per-packet analysis needed).
     pub light: bool,
+}
+
+impl ConnRecord {
+    /// Does module `m` analyze this connection?
+    pub fn is_enabled(&self, m: usize) -> bool {
+        self.enabled >> m & 1 == 1
+    }
 }
 
 /// The connection table.
@@ -113,19 +134,23 @@ impl ConnTable {
         self.map.get(&Self::canonical(tuple)).copied()
     }
 
-    /// Look up (or create) the record for a packet. Charges lookup /
-    /// creation costs. Returns `(index, is_new)`; the packet's tuple
-    /// becomes the originator tuple on creation (first packet wins).
+    /// Look up (or create) the record for a packet, given the result of
+    /// [`ConnTable::find`] for its tuple, which callers carry from packet
+    /// to packet of a session. Charges lookup / creation costs: a known
+    /// record costs no table probe and a new one only its insertion.
+    /// Returns `(index, is_new)`; the packet's tuple becomes the
+    /// originator tuple on creation (first packet wins).
     pub fn upsert(
         &mut self,
+        found: Option<usize>,
         tuple: &FiveTuple,
         hasher: &KeyedHasher,
         costs: &CostModel,
         meter: &mut Meter,
     ) -> (usize, bool) {
+        debug_assert_eq!(found, self.find(tuple), "stale connection lookup");
         meter.cpu(costs.conn_lookup);
-        let key = Self::canonical(tuple);
-        if let Some(&idx) = self.map.get(&key) {
+        if let Some(idx) = found {
             return (idx, false);
         }
         meter.cpu(costs.conn_create);
@@ -152,10 +177,10 @@ impl ConnTable {
             saw_syn: false,
             saw_fin: false,
             hashes,
-            enabled: vec![true; self.n_modules],
+            enabled: all_modules(self.n_modules),
             light: false,
         });
-        self.map.insert(key, idx);
+        self.map.insert(Self::canonical(tuple), idx);
         (idx, true)
     }
 
@@ -184,14 +209,17 @@ mod tests {
         FiveTuple::new(0x0a000001, 0x0a010002, 41000, 80, 6)
     }
 
+    fn upsert(t: &mut ConnTable, tuple: &FiveTuple, m: &mut Meter) -> (usize, bool) {
+        let found = t.find(tuple);
+        t.upsert(found, tuple, &KeyedHasher::with_key(42), &CostModel::default(), m)
+    }
+
     #[test]
     fn both_directions_hit_same_record() {
         let mut t = ConnTable::new(true, 3);
-        let h = KeyedHasher::unkeyed();
-        let c = CostModel::default();
         let mut m = Meter::new();
-        let (i1, new1) = t.upsert(&tuple(), &h, &c, &mut m);
-        let (i2, new2) = t.upsert(&tuple().reversed(), &h, &c, &mut m);
+        let (i1, new1) = upsert(&mut t, &tuple(), &mut m);
+        let (i2, new2) = upsert(&mut t, &tuple().reversed(), &mut m);
         assert_eq!(i1, i2);
         assert!(new1 && !new2);
         assert_eq!(t.len(), 1);
@@ -200,15 +228,24 @@ mod tests {
     }
 
     #[test]
+    fn new_records_enable_every_module() {
+        assert_eq!(all_modules(0), 0);
+        assert_eq!(all_modules(3), 0b111);
+        assert_eq!(all_modules(MAX_MODULES), u64::MAX);
+        let mut t = ConnTable::new(true, MAX_MODULES);
+        let (i, _) = upsert(&mut t, &tuple(), &mut Meter::new());
+        assert!((0..MAX_MODULES).all(|m| t.get(i).is_enabled(m)));
+    }
+
+    #[test]
     fn hash_fields_cost_memory() {
         let c = CostModel::default();
-        let h = KeyedHasher::unkeyed();
         let mut with = Meter::new();
         let mut without = Meter::new();
         let mut tw = ConnTable::new(true, 0);
         let mut tn = ConnTable::new(false, 0);
-        tw.upsert(&tuple(), &h, &c, &mut with);
-        tn.upsert(&tuple(), &h, &c, &mut without);
+        upsert(&mut tw, &tuple(), &mut with);
+        upsert(&mut tn, &tuple(), &mut without);
         assert_eq!(with.mem_bytes - without.mem_bytes, c.conn_hash_bytes);
         assert!(with.cpu_cycles > without.cpu_cycles, "hash computation charged");
     }
@@ -216,23 +253,20 @@ mod tests {
     #[test]
     fn distinct_connections_distinct_records() {
         let mut t = ConnTable::new(false, 0);
-        let h = KeyedHasher::unkeyed();
-        let c = CostModel::default();
         let mut m = Meter::new();
-        t.upsert(&tuple(), &h, &c, &mut m);
+        upsert(&mut t, &tuple(), &mut m);
         let mut other = tuple();
         other.src_port = 50000;
-        t.upsert(&other, &h, &c, &mut m);
+        upsert(&mut t, &other, &mut m);
         assert_eq!(t.len(), 2);
     }
 
     #[test]
     fn record_hash_consistency_with_keyed_hasher() {
         let mut t = ConnTable::new(true, 0);
-        let h = KeyedHasher::with_key(42);
-        let c = CostModel::default();
+        let h = KeyedHasher::with_key(42); // the key `upsert` hashes with
         let mut m = Meter::new();
-        let (i, _) = t.upsert(&tuple(), &h, &c, &mut m);
+        let (i, _) = upsert(&mut t, &tuple(), &mut m);
         let r = t.get(i);
         assert_eq!(r.hashes.bisession, h.unit_hash(&tuple(), FlowKeyKind::BiSession));
         assert_eq!(r.hashes.bisession, h.unit_hash(&tuple().reversed(), FlowKeyKind::BiSession));

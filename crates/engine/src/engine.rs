@@ -18,12 +18,12 @@
 //! traffic that falls outside the sampling manifest for this Bro
 //! instance".
 
-use crate::conn::ConnTable;
+use crate::conn::{ConnTable, MAX_MODULES};
 use crate::cost::{CostModel, Meter};
 use crate::modules::{module_for_class, Alert, Analyzer, EngineError, Granularity, Stage};
 use nwdp_core::nids::{generate_manifests, SamplingManifest};
 use nwdp_core::{ClassScope, NidsDeployment, UnitKey};
-use nwdp_hash::{FlowKeyKind, KeyedHasher};
+use nwdp_hash::{FiveTuple, FlowKeyKind, KeyedHasher};
 use nwdp_topo::NodeId;
 use nwdp_traffic::{node_of_ip, Packet, Session};
 use std::collections::{BTreeSet, HashMap};
@@ -44,12 +44,16 @@ pub enum Placement {
 /// is held behind an [`Arc`] so the reload controller can mint a fresh
 /// manifest mid-replay and hot-swap it into live engines
 /// ([`Engine::set_manifest`]) without the engines borrowing storage that
-/// outlives the run.
+/// outlives the run. Cloning is cheap: clones share the manifest and the
+/// unit table, so a run builds one context and clones it per engine.
+#[derive(Clone)]
 pub struct CoordContext<'a> {
     pub dep: &'a NidsDeployment,
     pub manifest: Arc<SamplingManifest>,
-    /// `(class index, unit key)` → unit index.
-    unit_of: HashMap<(usize, UnitKey), usize>,
+    /// Dense unit table: entry `(class · n + src) · n + dst` is the unit a
+    /// `src → dst` connection belongs to for that class (`n` nodes). Built
+    /// once, so the per-packet check indexes an array instead of hashing.
+    units: Arc<[Option<u32>]>,
 }
 
 impl<'a> CoordContext<'a> {
@@ -63,21 +67,38 @@ impl<'a> CoordContext<'a> {
 
     /// Build a context around an already-shared manifest.
     pub fn with_shared(dep: &'a NidsDeployment, manifest: Arc<SamplingManifest>) -> Self {
+        assert!(u32::try_from(dep.units.len()).is_ok(), "unit indices must fit the dense table");
+        // Later units win on duplicate keys, as map insertion did.
         let mut unit_of = HashMap::with_capacity(dep.units.len());
         for (u, unit) in dep.units.iter().enumerate() {
-            unit_of.insert((unit.class, unit.key), u);
+            unit_of.insert((unit.class, unit.key), u as u32);
         }
-        CoordContext { dep, manifest, unit_of }
+        let n = dep.num_nodes;
+        let mut units = Vec::with_capacity(dep.classes.len() * n * n);
+        for (class, c) in dep.classes.iter().enumerate() {
+            for src in (0..n).map(NodeId) {
+                for dst in (0..n).map(NodeId) {
+                    let key = match c.scope {
+                        ClassScope::PerPath => UnitKey::Path(src, dst),
+                        ClassScope::PerIngress => UnitKey::Ingress(src),
+                        ClassScope::PerEgress => UnitKey::Egress(dst),
+                    };
+                    units.push(unit_of.get(&(class, key)).copied());
+                }
+            }
+        }
+        CoordContext { dep, manifest, units: units.into() }
     }
 
-    /// Resolve the unit a connection belongs to for a class.
+    /// Resolve the unit a connection belongs to for a class. Node ids
+    /// outside the deployment (addresses map to ids up to 255) have none.
     fn unit_for(&self, class: usize, src_node: NodeId, dst_node: NodeId) -> Option<usize> {
-        let key = match self.dep.classes[class].scope {
-            ClassScope::PerPath => UnitKey::Path(src_node, dst_node),
-            ClassScope::PerIngress => UnitKey::Ingress(src_node),
-            ClassScope::PerEgress => UnitKey::Egress(dst_node),
-        };
-        self.unit_of.get(&(class, key)).copied()
+        let n = self.dep.num_nodes;
+        let (src, dst) = (src_node.index(), dst_node.index());
+        if src >= n || dst >= n {
+            return None;
+        }
+        self.units[(class * n + src) * n + dst].map(|u| u as usize)
     }
 }
 
@@ -129,6 +150,17 @@ impl RunStats {
     }
 }
 
+/// What the engine knows about the connection-table record of a tuple,
+/// carried from packet to packet of one session so that the table is
+/// probed once per session rather than twice per packet.
+#[derive(Debug, Clone, Copy)]
+struct Probe {
+    /// Originator-oriented tuple the lookup was made for.
+    tuple: FiveTuple,
+    /// The record's index, or `None` when the table has none.
+    rec: Option<usize>,
+}
+
 /// One NIDS instance at one network node.
 pub struct Engine<'a> {
     pub node: NodeId,
@@ -169,7 +201,8 @@ impl<'a> Engine<'a> {
     /// [`Placement::Unmodified`] is stock Bro (edge-only / baseline runs).
     ///
     /// Fails with [`EngineError::UnknownClass`] when a class name has no
-    /// registered analyzer module (instead of aborting the process).
+    /// registered analyzer module (instead of aborting the process), and
+    /// with [`EngineError::TooManyModules`] beyond [`MAX_MODULES`] classes.
     pub fn new(
         node: NodeId,
         placement: Placement,
@@ -181,6 +214,9 @@ impl<'a> Engine<'a> {
             assert!(coord.is_none(), "unmodified Bro cannot consume manifests");
         } else {
             assert!(coord.is_some(), "coordinated placements need a manifest context");
+        }
+        if class_names.len() > MAX_MODULES {
+            return Err(EngineError::TooManyModules { got: class_names.len(), max: MAX_MODULES });
         }
         let modules: Vec<Box<dyn Analyzer>> =
             class_names.iter().map(|n| module_for_class(n)).collect::<Result<_, _>>()?;
@@ -242,6 +278,11 @@ impl<'a> Engine<'a> {
     /// Feed one session's packets through the engine. Packets are
     /// synthesized into a reusable buffer — no per-session allocation.
     pub fn process_session(&mut self, session: &Session) {
+        self.process_session_probed(session, None);
+    }
+
+    /// [`Engine::process_session`] starting from a known table lookup.
+    fn process_session_probed(&mut self, session: &Session, mut probe: Option<Probe>) {
         if nwdp_obs::alert_enabled() {
             nwdp_obs::set_alert_context(self.node.0 as u64, session.id);
             self.last_sid = self.last_sid.max(session.id);
@@ -249,7 +290,7 @@ impl<'a> Engine<'a> {
         let mut buf = std::mem::take(&mut self.pkt_buf);
         session.packets_into(&mut buf);
         for pkt in &buf {
-            self.process_packet(pkt);
+            self.packet(pkt, &mut probe);
         }
         self.pkt_buf = buf;
     }
@@ -270,8 +311,9 @@ impl<'a> Engine<'a> {
         let mut shaped = std::mem::take(&mut self.fault_buf);
         session.packets_into(&mut raw);
         faults.apply_into(session, &raw, &mut shaped);
+        let mut probe = None;
         for pkt in &shaped {
-            self.process_packet(pkt);
+            self.packet(pkt, &mut probe);
         }
         self.pkt_buf = raw;
         self.fault_buf = shaped;
@@ -285,22 +327,27 @@ impl<'a> Engine<'a> {
     /// [`Engine::process_session`] — every packet of a session
     /// canonicalizes to the session's tuple, so the per-packet fast-path
     /// outcome is the same for all of them.
+    ///
+    /// The connection table is probed once here; the result is carried
+    /// into the session's packets.
     pub fn process_session_fast(&mut self, session: &Session) {
-        if self.try_skip_session(session) {
+        let rec = self.conns.find(&session.tuple);
+        if rec.is_none() && self.try_skip_session(session) {
             return;
         }
-        self.process_session(session);
+        self.process_session_probed(session, Some(Probe { tuple: session.tuple, rec }));
     }
 
     /// The batched membership check behind
-    /// [`Engine::process_session_fast`]. Returns `true` when the whole
-    /// session was skipped (bulk charges committed); `false` leaves the
-    /// engine untouched — the trial scan uses only locals, so a session
-    /// that turns out to be covered is processed normally with no
-    /// double-charging (its first packet re-runs the fast path itself).
+    /// [`Engine::process_session_fast`], for a session with no connection
+    /// record. Returns `true` when the whole session was skipped (bulk
+    /// charges committed); `false` leaves the engine untouched — the trial
+    /// scan uses only locals, so a session that turns out to be covered is
+    /// processed normally with no double-charging (its first packet re-runs
+    /// the fast path itself).
     fn try_skip_session(&mut self, session: &Session) -> bool {
         let tuple = session.tuple;
-        let Some(coord) = self.coord.as_ref().filter(|_| self.conns.find(&tuple).is_none()) else {
+        let Some(coord) = self.coord.as_ref() else {
             return false;
         };
         let (src_node, dst_node) = (node_of_ip(tuple.src_ip), node_of_ip(tuple.dst_ip));
@@ -337,15 +384,26 @@ impl<'a> Engine<'a> {
 
     /// The per-packet pipeline (paper Fig 3 embedded in the Bro stages).
     pub fn process_packet(&mut self, pkt: &Packet<'_>) {
+        self.packet(pkt, &mut None);
+    }
+
+    /// [`Engine::process_packet`] reusing the previous packet's table
+    /// lookup when it was for the same tuple, and leaving this packet's
+    /// lookup in `probe` for the next one.
+    fn packet(&mut self, pkt: &Packet<'_>, probe: &mut Option<Probe>) {
         self.packets += 1;
         self.base_meter.cpu(self.costs.pkt_base);
 
         let tuple = canonical_tuple(pkt);
         let (src_node, dst_node) = (node_of_ip(tuple.src_ip), node_of_ip(tuple.dst_ip));
+        let found = match *probe {
+            Some(p) if p.tuple == tuple => p.rec,
+            _ => self.conns.find(&tuple),
+        };
 
         // --- §2.3 fast path: for traffic with no existing state, skip
         // connection creation when no module's manifest range covers it.
-        if let Some(coord) = self.coord.as_ref().filter(|_| self.conns.find(&tuple).is_none()) {
+        if let Some(coord) = self.coord.as_ref().filter(|_| found.is_none()) {
             // Each needed hash kind is computed once per packet.
             let mut hash_cache: [Option<f64>; 4] = [None; 4];
             let mut hashed = 0u64;
@@ -371,13 +429,15 @@ impl<'a> Engine<'a> {
             self.base_meter.cpu(self.costs.hash_compute * hashed);
             if !any {
                 self.fastpath_skipped += 1;
+                *probe = Some(Probe { tuple, rec: None });
                 return; // transit fast path: no state, no analysis
             }
         }
 
         // --- Basic connection processing. ---
         let (idx, is_new) =
-            self.conns.upsert(&tuple, &self.hasher, &self.costs, &mut self.base_meter);
+            self.conns.upsert(found, &tuple, &self.hasher, &self.costs, &mut self.base_meter);
+        *probe = Some(Probe { tuple, rec: Some(idx) });
         {
             let rec = self.conns.get_mut(idx);
             rec.pkts += 1;
@@ -393,15 +453,15 @@ impl<'a> Engine<'a> {
         if let Some(coord) = self.coord.as_ref().filter(|_| is_new) {
             let rec = self.conns.get(idx);
             let (sn, dn) = (node_of_ip(rec.orig.src_ip), node_of_ip(rec.orig.dst_ip));
-            let mut enabled = vec![false; self.modules.len()];
+            let mut enabled = 0u64;
             let mut checks = 0u64;
             for (m, module) in self.modules.iter().enumerate() {
                 if !self.decided_in_event_engine(module.stage()) {
-                    enabled[m] = true; // the policy layer decides later
+                    enabled |= 1 << m; // the policy layer decides later
                     continue;
                 }
                 checks += 1;
-                enabled[m] = match coord.unit_for(m, sn, dn) {
+                let hit = match coord.unit_for(m, sn, dn) {
                     Some(unit) => {
                         let h = rec.hashes.get(module.key_kind());
                         self.range_checks += 1;
@@ -411,6 +471,7 @@ impl<'a> Engine<'a> {
                     }
                     None => false,
                 };
+                enabled |= u64::from(hit) << m;
             }
             self.base_meter.cpu(self.costs.evt_check * checks);
             // §2.5 fine-grained extension: if every module interested in
@@ -425,7 +486,7 @@ impl<'a> Engine<'a> {
                         continue;
                     }
                     let interested = if self.decided_in_event_engine(module.stage()) {
-                        enabled[m]
+                        enabled >> m & 1 == 1
                     } else {
                         // Policy-side decision is per-connection too;
                         // resolve it now from the record's hashes.
@@ -470,7 +531,7 @@ impl<'a> Engine<'a> {
             let event_decided = self.decided_in_event_engine(self.modules[m].stage());
             let run = match (&self.coord, event_decided) {
                 (None, _) => true,
-                (Some(_), true) => rec.enabled[m],
+                (Some(_), true) => rec.is_enabled(m),
                 (Some(coord), false) => {
                     // Interpreted policy-layer check (Fig 3 line 5 as a
                     // policy predicate), charged per delivered event:
@@ -730,6 +791,58 @@ mod tests {
         )
         .unwrap();
         assert_eq!(owner.set_manifest(Arc::new(manifest2)), Ok(()));
+    }
+
+    #[test]
+    fn dense_unit_table_matches_the_deployment_units() {
+        for topo in [nwdp_topo::internet2(), nwdp_topo::waxman("wax", 14, 0.4, 0.2, 3)] {
+            let paths = PathDb::shortest_paths(&topo);
+            let tm = TrafficMatrix::gravity(&topo);
+            let vol = VolumeModel::internet2_baseline();
+            let dep = build_units(&topo, &paths, &tm, &vol, &AnalysisClass::standard_set());
+            let (_solo, manifest) = standalone_coordination(&dep, NodeId(0));
+            let coord = CoordContext::new(&dep, &manifest);
+            let n = dep.num_nodes;
+            let mut found = 0;
+            for (class, c) in dep.classes.iter().enumerate() {
+                for src in (0..n).map(NodeId) {
+                    for dst in (0..n).map(NodeId) {
+                        let key = match c.scope {
+                            ClassScope::PerPath => UnitKey::Path(src, dst),
+                            ClassScope::PerIngress => UnitKey::Ingress(src),
+                            ClassScope::PerEgress => UnitKey::Egress(dst),
+                        };
+                        // The last unit with the key, as a map lookup finds.
+                        let expect =
+                            dep.units.iter().rposition(|u| u.class == class && u.key == key);
+                        let got = coord.unit_for(class, src, dst);
+                        assert_eq!(got, expect, "{} class {class} {src:?}->{dst:?}", topo.name);
+                        found += usize::from(got.is_some());
+                    }
+                }
+                // Addresses decode to node ids up to 255; ids past the
+                // deployment have no unit.
+                for far in [n, n + 1, 255] {
+                    assert_eq!(coord.unit_for(class, NodeId(far), NodeId(0)), None);
+                    assert_eq!(coord.unit_for(class, NodeId(0), NodeId(far)), None);
+                    assert_eq!(coord.unit_for(class, NodeId(far), NodeId(far)), None);
+                }
+            }
+            assert!(found > 0, "{}: the table resolved no unit at all", topo.name);
+        }
+    }
+
+    #[test]
+    fn more_modules_than_the_enablement_bitmask_is_an_error() {
+        let at_limit = vec!["HTTP".to_string(); MAX_MODULES];
+        let engine =
+            Engine::new(NodeId(0), Placement::Unmodified, &at_limit, None, KeyedHasher::unkeyed());
+        assert!(engine.is_ok());
+        let over = vec!["HTTP".to_string(); MAX_MODULES + 1];
+        let err =
+            Engine::new(NodeId(0), Placement::Unmodified, &over, None, KeyedHasher::unkeyed())
+                .err();
+        assert_eq!(err, Some(EngineError::TooManyModules { got: MAX_MODULES + 1, max: 64 }));
     }
 
     #[test]

@@ -672,10 +672,9 @@ impl Analyzer for Signature {
             return;
         }
         meter.cpu(pkt.payload.len() as u64 * costs.sig_per_byte);
-        let key = (conn_subject(conn), pkt.forward);
-        let state = self.stream_state.get(&key).copied().unwrap_or(0);
-        let (next, matched) = self.ac.scan_stream(state, pkt.payload);
-        self.stream_state.insert(key, next);
+        let state = self.stream_state.entry((conn_subject(conn), pkt.forward)).or_insert(0);
+        let (next, matched) = self.ac.scan_stream(*state, pkt.payload);
+        *state = next;
         if matched
             && self.alerts.insert(Alert {
                 module: "Signature".to_string(),
@@ -820,6 +819,9 @@ pub enum EngineError {
     /// coordination context (edge-only / unmodified placement) — there is
     /// no manifest to replace.
     NotCoordinated,
+    /// More analysis classes than one engine can track: per-connection
+    /// module enablement is a bitmask of `max` bits.
+    TooManyModules { got: usize, max: usize },
 }
 
 impl std::fmt::Display for EngineError {
@@ -830,6 +832,9 @@ impl std::fmt::Display for EngineError {
             }
             EngineError::NotCoordinated => {
                 write!(f, "manifest swap needs a coordinated engine (this one has no manifest)")
+            }
+            EngineError::TooManyModules { got, max } => {
+                write!(f, "{got} analysis classes exceed the engine's limit of {max}")
             }
         }
     }
@@ -879,7 +884,7 @@ mod tests {
             saw_syn: false,
             saw_fin: false,
             hashes: Default::default(),
-            enabled: vec![],
+            enabled: 0,
             light: false,
         }
     }

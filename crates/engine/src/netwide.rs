@@ -131,9 +131,9 @@ pub fn run_coordinated(
 ) -> Result<NetworkRun, EngineError> {
     assert_ne!(placement, Placement::Unmodified, "coordinated run needs a coordinated placement");
     let names = class_names(dep);
+    let coord = CoordContext::new(dep, manifest);
     replay_nodes("coordinated", dep.num_nodes, |node| {
-        let coord = CoordContext::new(dep, manifest);
-        let mut engine = Engine::new(node, placement, &names, Some(coord), hasher)?;
+        let mut engine = Engine::new(node, placement, &names, Some(coord.clone()), hasher)?;
         for s in trace.onpath_sessions(paths, node) {
             engine.process_session(s);
         }
@@ -313,9 +313,9 @@ pub fn run_coordinated_resilient(
     // Arc clone, not a manifest clone.
     let shared: Vec<std::sync::Arc<SamplingManifest>> =
         epochs.iter().map(|e| std::sync::Arc::new(e.manifest.clone())).collect();
+    let coord = CoordContext::with_shared(dep, shared[0].clone());
     let run = replay_nodes("coordinated_resilient", dep.num_nodes, |node| {
-        let coord = CoordContext::with_shared(dep, shared[0].clone());
-        let mut engine = Engine::new(node, placement, &names, Some(coord), hasher)?;
+        let mut engine = Engine::new(node, placement, &names, Some(coord.clone()), hasher)?;
         let mut k = 0;
         for s in trace.onpath_sessions(paths, node) {
             let now = s.id as f64 / n_total;

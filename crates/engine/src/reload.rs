@@ -24,24 +24,28 @@
 //! every swap rejected ([`Sabotage::Every`]) the run is bit-identical to
 //! [`run_coordinated_stream`](crate::stream::run_coordinated_stream) —
 //! `tests/parallel_equivalence.rs` pins that equivalence.
+//!
+//! The data plane is the plain stream's router: the session stream is
+//! generated once, routed chunk by chunk (a chunk never crosses an epoch
+//! boundary), and the router counts the [`ObservedMix`] as it routes.
 
-use crate::engine::{CoordContext, Engine, Placement};
+use crate::engine::{CoordContext, Placement};
 use crate::modules::EngineError;
 use crate::netwide::{flush_metrics, NetworkRun};
-use crate::stream::shard_of;
+use crate::stream::Router;
 use nwdp_core::migration::plan_transition;
 use nwdp_core::nids::{
     generate_manifests, solve_nids_lp_warm, validate_manifests, CapacityCeiling, ManifestEntry,
     ManifestValidationError, NidsError, NidsLpConfig, NodeCaps, SamplingManifest, WarmStart,
 };
 use nwdp_core::resilience::covered_fraction;
-use nwdp_core::{parallel, NidsDeployment, UnitKey};
+use nwdp_core::{NidsDeployment, UnitKey};
 use nwdp_hash::KeyedHasher;
 use nwdp_obs as obs;
 use nwdp_topo::{NodeId, PathDb};
 use nwdp_traffic::Session;
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// When (if ever) the controller corrupts its own candidate manifest
 /// before validation. Used to exercise the rejection path: a sabotaged
@@ -144,8 +148,7 @@ impl ReloadRun {
 }
 
 /// Per-`(src, dst)` packet and session counts observed by the data plane
-/// over one epoch. Counted once per session (at its ingress node, on the
-/// owning shard), merged across workers in deterministic worker order.
+/// over one epoch, counted once per session as the router routes it.
 #[derive(Debug, Clone, Default)]
 pub struct ObservedMix {
     /// `(src, dst) → (packets, sessions)`.
@@ -157,14 +160,6 @@ impl ObservedMix {
         let e = self.pairs.entry((src.index(), dst.index())).or_insert((0, 0));
         e.0 += pkts;
         e.1 += 1;
-    }
-
-    pub fn merge(&mut self, other: &ObservedMix) {
-        for (&k, &(p, f)) in &other.pairs {
-            let e = self.pairs.entry(k).or_insert((0, 0));
-            e.0 += p;
-            e.1 += f;
-        }
     }
 
     /// Total observed `(packets, sessions)`.
@@ -372,26 +367,18 @@ fn sabotage_manifest(m: &SamplingManifest) -> SamplingManifest {
     SamplingManifest::from_entries(m.num_nodes(), entries)
 }
 
-struct Worker<'a, I: Iterator<Item = Session>> {
-    engine: Engine<'a>,
-    it: std::iter::Peekable<I>,
-}
-
-fn locked<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 /// [`run_coordinated_stream`](crate::stream::run_coordinated_stream) with
 /// a closed reconfiguration loop.
 ///
-/// The trace is split into `cfg.epochs` equal segments by session id. At
-/// each interior boundary the runner pauses the fan-out (workers park at
-/// the boundary, engines and iterators stay live), hands the epoch's
+/// `source` is called exactly once, and its sessions must come in
+/// ascending id order. The trace is split into `cfg.epochs` equal segments
+/// by session id. At each interior boundary the router stops pulling
+/// (engines and the iterator stay live), hands the epoch's
 /// [`ObservedMix`] to a [`ReloadController`], and — if the re-solved
 /// candidate passes [`validate_manifests`] — swaps the new manifest into
-/// every engine via [`Engine::set_manifest`]. Per-connection state and
-/// meters survive every swap; a rejected candidate leaves the old
-/// manifest serving.
+/// every engine via [`Engine::set_manifest`](crate::engine::Engine::set_manifest).
+/// Per-connection state and meters survive every swap; a rejected
+/// candidate leaves the old manifest serving.
 ///
 /// Records the live manifest's covered fraction into the
 /// `resilience.coverage` replay-clock series (when metrics are enabled)
@@ -409,13 +396,12 @@ pub fn run_coordinated_stream_reload<I, S>(
     cfg: &ReloadConfig<'_>,
 ) -> Result<ReloadRun, EngineError>
 where
-    I: Iterator<Item = Session> + Send,
+    I: Iterator<Item = Session>,
     S: Fn() -> I,
 {
     assert_ne!(placement, Placement::Unmodified, "reload run needs a coordinated placement");
     let shards = shards.max(1);
     let epochs = cfg.epochs.max(1);
-    let names: Vec<String> = dep.classes.iter().map(|c| c.name.clone()).collect();
     let _span = obs::span!("engine.reload", nodes = dep.num_nodes, shards = shards);
 
     let mut controller = ReloadController::new(
@@ -427,16 +413,11 @@ where
         cfg.blend,
     );
 
-    // Persistent per-(node, shard) workers: engines and iterators live
-    // across epochs so connection state survives every swap.
-    let mut cells: Vec<Mutex<Option<Worker<'_, I>>>> = Vec::with_capacity(dep.num_nodes * shards);
-    for j in 0..dep.num_nodes {
-        for _shard in 0..shards {
-            let coord = CoordContext::with_shared(dep, controller.manifest());
-            let engine = Engine::new(NodeId(j), placement, &names, Some(coord), hasher)?;
-            cells.push(Mutex::new(Some(Worker { engine, it: source().peekable() })));
-        }
-    }
+    // Engines and the session iterator live across epochs, so connection
+    // state survives every swap.
+    let coord = CoordContext::with_shared(dep, controller.manifest());
+    let mut router = Router::new(coord, paths, placement, hasher, shards, None)?;
+    let mut sessions = source().peekable();
 
     let mut decisions = Vec::with_capacity(epochs.saturating_sub(1));
     let mut coverage = Vec::with_capacity(epochs);
@@ -445,37 +426,14 @@ where
     for e in 1..=epochs {
         // Exclusive session-id bound of this epoch; the final epoch
         // drains whatever the source still holds.
-        let hi = if e == epochs { u64::MAX } else { cfg.total_sessions * e as u64 / epochs as u64 };
-        let mixes = parallel::par_map_n(cells.len(), |i| {
-            let node = NodeId(i / shards);
-            let shard = i % shards;
-            let mut cell = locked(&cells[i]);
-            let Some(worker) = cell.as_mut() else { return ObservedMix::default() };
-            let mut mix = ObservedMix::default();
-            while worker.it.peek().is_some_and(|s| s.id < hi) {
-                let Some(session) = worker.it.next() else { break };
-                if paths.path(session.src_node, session.dst_node).position(node).is_none() {
-                    continue;
-                }
-                if shards > 1 && shard_of(&hasher, &session, shards) != shard {
-                    continue;
-                }
-                // Count the mix once per session: at its ingress node,
-                // on the shard that owns it.
-                if node == session.src_node {
-                    mix.record(session.src_node, session.dst_node, session.packet_count() as u64);
-                }
-                worker.engine.process_session_fast(&session);
-            }
-            mix
+        let end = (e < epochs).then(|| cfg.total_sessions * e as u64 / epochs as u64);
+        let mut observed = ObservedMix::default();
+        router.run(&mut sessions, end, |s| {
+            observed.record(s.src_node, s.dst_node, s.packet_count() as u64)
         });
 
         if e == epochs {
             break;
-        }
-        let mut observed = ObservedMix::default();
-        for m in &mixes {
-            observed.merge(m);
         }
         let sabotage = match cfg.sabotage {
             Sabotage::None => false,
@@ -485,12 +443,7 @@ where
         let at = e as f64 / epochs as f64;
         let decision = controller.resolve(e, at, &observed, sabotage);
         if matches!(decision.outcome, ReloadOutcome::Swapped { .. }) {
-            let live = controller.manifest();
-            for cell in &cells {
-                if let Some(worker) = locked(cell).as_mut() {
-                    worker.engine.set_manifest(live.clone())?;
-                }
-            }
+            router.set_manifest(&controller.manifest())?;
         }
         if obs::enabled() {
             obs::record_series("resilience.coverage", at, decision.coverage_after);
@@ -499,33 +452,7 @@ where
         decisions.push(decision);
     }
 
-    // Deterministic merge, identical to the plain streaming runner:
-    // shards fold into shard 0's engine in ascending order per node.
-    let mut per_node = Vec::with_capacity(dep.num_nodes);
-    for j in 0..dep.num_nodes {
-        let mut acc: Option<Engine<'_>> = None;
-        for shard in 0..shards {
-            let Some(worker) = locked(&cells[j * shards + shard]).take() else {
-                unreachable!("worker cells are taken exactly once");
-            };
-            acc = Some(match acc {
-                None => worker.engine,
-                Some(mut merged) => {
-                    merged.absorb_shard(worker.engine);
-                    merged
-                }
-            });
-        }
-        match acc {
-            Some(merged) => per_node.push(merged.stats()),
-            None => unreachable!("shards >= 1: every node row has an engine"),
-        }
-    }
-    let mut alerts = BTreeSet::new();
-    for st in &per_node {
-        alerts.extend(st.alerts.iter().cloned());
-    }
-    let run = NetworkRun { per_node, alerts };
+    let run = router.finish();
     if obs::enabled() {
         flush_metrics("reload", &run);
     }

@@ -4,9 +4,15 @@
 //! materializes the whole trace and replays one engine per node. This
 //! module replaces that with a pull-based pipeline: sessions are generated
 //! on demand (no materialized trace), each node's work is split across
-//! `shards` per-worker engines, and every shard engine uses the batched
+//! `shards` per-lane engines, and every lane engine uses the batched
 //! §2.3 membership check ([`Engine::process_session_fast`]) so traffic
 //! outside its manifest slice is charged without synthesizing packets.
+//!
+//! A single router generates the stream once. It pulls sessions in
+//! chunks, looks up each session's path and shard once, and hands every
+//! on-path `(node, shard)` lane the indices of its sessions; the lanes
+//! then run in parallel over the chunk. Each lane sees its sessions in
+//! stream order, exactly as if it had filtered the whole stream itself.
 //!
 //! ## Why sharding preserves bit-identical results
 //!
@@ -31,6 +37,8 @@ use nwdp_obs::{self as obs, Histogram};
 use nwdp_topo::{NodeId, PathDb};
 use nwdp_traffic::Session;
 use std::collections::BTreeSet;
+use std::iter::Peekable;
+use std::sync::{Arc, Mutex};
 
 /// Effective shard count for the streaming data plane: the `NWDP_SHARDS`
 /// environment variable when set, else the parallel worker count (see
@@ -58,20 +66,181 @@ pub fn pkt_latency_bounds() -> Vec<f64> {
     Histogram::exponential_bounds(20.0, 1.7, 28)
 }
 
+/// Sessions the router pulls per round: enough to amortize the lane
+/// fan-out, few enough that the chunk stays small next to engine state.
+const CHUNK: usize = 8192;
+
+/// The per-`(node, shard)` engines of a streaming run and the router that
+/// feeds them from one pass over the session stream. Both streaming
+/// runners are built on it.
+pub(crate) struct Router<'a, 'p> {
+    paths: &'p PathDb,
+    hasher: KeyedHasher,
+    shards: usize,
+    /// Engine of lane `node · shards + shard`; lanes persist across
+    /// chunks (and epochs), so connection state does too.
+    lanes: Vec<Mutex<Engine<'a>>>,
+    /// Per lane, indices into `chunk` of the sessions it processes, in
+    /// stream order.
+    routes: Vec<Vec<u32>>,
+    chunk: Vec<Session>,
+    /// Per-packet latency histogram, fed only when set.
+    lat: Option<Arc<Histogram>>,
+}
+
+impl<'a, 'p> Router<'a, 'p> {
+    /// One engine per `(node, shard)` lane, each with a clone of `coord`.
+    pub(crate) fn new(
+        coord: CoordContext<'a>,
+        paths: &'p PathDb,
+        placement: Placement,
+        hasher: KeyedHasher,
+        shards: usize,
+        lat: Option<Arc<Histogram>>,
+    ) -> Result<Self, EngineError> {
+        let shards = shards.max(1);
+        let names: Vec<String> = coord.dep.classes.iter().map(|c| c.name.clone()).collect();
+        let n = coord.dep.num_nodes * shards;
+        let mut lanes = Vec::with_capacity(n);
+        for lane in 0..n {
+            let node = NodeId(lane / shards);
+            let engine = Engine::new(node, placement, &names, Some(coord.clone()), hasher)?;
+            lanes.push(Mutex::new(engine));
+        }
+        Ok(Router {
+            paths,
+            hasher,
+            shards,
+            lanes,
+            routes: vec![Vec::new(); n],
+            chunk: Vec::with_capacity(CHUNK),
+            lat,
+        })
+    }
+
+    /// Route and process sessions until `source` runs dry or, with an
+    /// `end`, its next session id is `end` or past it. `ingress` sees
+    /// every routed session once, at its ingress node.
+    pub(crate) fn run<I: Iterator<Item = Session>>(
+        &mut self,
+        source: &mut Peekable<I>,
+        end: Option<u64>,
+        mut ingress: impl FnMut(&Session),
+    ) {
+        loop {
+            self.chunk.clear();
+            while self.chunk.len() < CHUNK {
+                let next = match end {
+                    None => source.next(),
+                    Some(end) => source.next_if(|s| s.id < end),
+                };
+                let Some(session) = next else { break };
+                self.chunk.push(session);
+            }
+            if self.chunk.is_empty() {
+                return;
+            }
+            self.route(&mut ingress);
+            self.process();
+        }
+    }
+
+    /// Fill `routes` for the current chunk: one path lookup and one shard
+    /// hash per session.
+    fn route(&mut self, ingress: &mut impl FnMut(&Session)) {
+        for route in &mut self.routes {
+            route.clear();
+        }
+        for (i, session) in self.chunk.iter().enumerate() {
+            let i = i as u32;
+            let shard =
+                if self.shards > 1 { shard_of(&self.hasher, session, self.shards) } else { 0 };
+            for &node in &self.paths.path(session.src_node, session.dst_node).nodes {
+                let Some(route) = self.routes.get_mut(node.index() * self.shards + shard) else {
+                    continue; // a node outside the deployment runs no engine
+                };
+                route.push(i);
+                if node == session.src_node {
+                    ingress(session);
+                }
+            }
+        }
+    }
+
+    /// Run every lane over its share of the current chunk.
+    fn process(&self) {
+        parallel::par_map_n(self.lanes.len(), |k| {
+            if self.routes[k].is_empty() {
+                return;
+            }
+            let (node, shard) = (k / self.shards, k % self.shards);
+            let _span = obs::span!("engine.stream_shard", node = node, shard = shard);
+            let mut engine = self.lanes[k].lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+            for &i in &self.routes[k] {
+                let session = &self.chunk[i as usize];
+                match &self.lat {
+                    Some(lat) => {
+                        let t0 = std::time::Instant::now();
+                        engine.process_session_fast(session);
+                        let per_pkt =
+                            t0.elapsed().as_nanos() as f64 / session.packet_count().max(1) as f64;
+                        lat.observe(per_pkt);
+                    }
+                    None => engine.process_session_fast(session),
+                }
+            }
+        });
+    }
+
+    /// Swap `manifest` into every lane (see [`Engine::set_manifest`]).
+    pub(crate) fn set_manifest(
+        &mut self,
+        manifest: &Arc<SamplingManifest>,
+    ) -> Result<(), EngineError> {
+        for lane in &mut self.lanes {
+            lane.get_mut()
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+                .set_manifest(manifest.clone())?;
+        }
+        Ok(())
+    }
+
+    /// Deterministic merge: shards fold into shard 0's engine in
+    /// ascending shard order, nodes stay in node order.
+    pub(crate) fn finish(self) -> NetworkRun {
+        let mut per_node = Vec::with_capacity(self.lanes.len() / self.shards);
+        let mut engines = self
+            .lanes
+            .into_iter()
+            .map(|lane| lane.into_inner().unwrap_or_else(|poisoned| poisoned.into_inner()));
+        while let Some(mut merged) = engines.next() {
+            for shard in engines.by_ref().take(self.shards - 1) {
+                merged.absorb_shard(shard);
+            }
+            per_node.push(merged.stats());
+        }
+        let mut alerts = BTreeSet::new();
+        for st in &per_node {
+            alerts.extend(st.alerts.iter().cloned());
+        }
+        NetworkRun { per_node, alerts }
+    }
+}
+
 /// Run the coordinated deployment as a streaming data plane.
 ///
-/// `source` is called once per (node, shard) worker and must return a
-/// fresh session iterator over the same sequence each time (e.g. a closure
-/// building a [`nwdp_traffic::SessionStream`]); workers filter it down to
-/// their on-path, shard-owned slice. Produces a [`NetworkRun`]
-/// bit-identical to `run_coordinated` over the materialized trace on the
-/// same seed, for any thread or shard count.
+/// `source` is called exactly once; the single router pulls the returned
+/// session iterator (e.g. a [`nwdp_traffic::SessionStream`]) and routes
+/// each session to its on-path, shard-owning lanes. Produces a
+/// [`NetworkRun`] bit-identical to `run_coordinated` over the
+/// materialized trace on the same seed, for any thread or shard count.
 ///
 /// When metrics are enabled, per-session wall time is recorded into the
 /// `engine.stream.pkt_ns` histogram (normalized per packet) — the clock
 /// reads make that pass slower, so throughput timing runs with metrics
-/// off. Spans `engine.stream` / `engine.stream_shard` journal the fan-out
-/// for `repro report`'s shard utilization table.
+/// off. Spans `engine.stream` / `engine.stream_shard` (one per lane and
+/// chunk) journal the fan-out for `repro report`'s shard utilization
+/// table.
 pub fn run_coordinated_stream<I, S>(
     dep: &NidsDeployment,
     manifest: &SamplingManifest,
@@ -87,64 +256,12 @@ where
 {
     assert_ne!(placement, Placement::Unmodified, "streaming run needs a coordinated placement");
     let shards = shards.max(1);
-    let names: Vec<String> = dep.classes.iter().map(|c| c.name.clone()).collect();
     let _span = obs::span!("engine.stream", nodes = dep.num_nodes, shards = shards);
-    let lat = if obs::enabled() {
-        Some(obs::histogram("engine.stream.pkt_ns", &pkt_latency_bounds()))
-    } else {
-        None
-    };
-    let grid = parallel::par_map_grid(dep.num_nodes, shards, |j, shard| {
-        let node = NodeId(j);
-        let _span = obs::span!("engine.stream_shard", node = j, shard = shard);
-        let coord = CoordContext::new(dep, manifest);
-        let mut engine = Engine::new(node, placement, &names, Some(coord), hasher)?;
-        for session in source() {
-            if paths.path(session.src_node, session.dst_node).position(node).is_none() {
-                continue;
-            }
-            if shards > 1 && shard_of(&hasher, &session, shards) != shard {
-                continue;
-            }
-            match &lat {
-                Some(lat) => {
-                    let t0 = std::time::Instant::now();
-                    engine.process_session_fast(&session);
-                    let per_pkt =
-                        t0.elapsed().as_nanos() as f64 / session.packet_count().max(1) as f64;
-                    lat.observe(per_pkt);
-                }
-                None => engine.process_session_fast(&session),
-            }
-        }
-        Ok(engine)
-    });
-
-    // Deterministic merge: shards fold into shard 0's engine in ascending
-    // shard order, nodes stay in node order.
-    let mut per_node = Vec::with_capacity(dep.num_nodes);
-    for row in grid {
-        let mut acc: Option<Engine<'_>> = None;
-        for engine in row {
-            let engine = engine?;
-            acc = Some(match acc {
-                None => engine,
-                Some(mut merged) => {
-                    merged.absorb_shard(engine);
-                    merged
-                }
-            });
-        }
-        match acc {
-            Some(merged) => per_node.push(merged.stats()),
-            None => unreachable!("shards >= 1: every node row has an engine"),
-        }
-    }
-    let mut alerts = BTreeSet::new();
-    for st in &per_node {
-        alerts.extend(st.alerts.iter().cloned());
-    }
-    let run = NetworkRun { per_node, alerts };
+    let lat = obs::enabled().then(|| obs::histogram("engine.stream.pkt_ns", &pkt_latency_bounds()));
+    let coord = CoordContext::new(dep, manifest);
+    let mut router = Router::new(coord, paths, placement, hasher, shards, lat)?;
+    router.run(&mut source().peekable(), None, |_| {});
+    let run = router.finish();
     if obs::enabled() {
         flush_metrics("stream", &run);
     }

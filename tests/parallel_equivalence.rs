@@ -6,10 +6,15 @@
 use nwdp::core::parallel;
 use nwdp::prelude::*;
 
-/// Run `f` under a 1-thread and a 4-thread override and return both results.
-fn both<R>(f: impl Fn() -> R) -> (R, R) {
+/// Thread counts every fan-out is pinned at besides the serial run: the
+/// host's two cores and an oversubscribed four.
+const PARALLEL: [usize; 2] = [2, 4];
+
+/// Run `f` under a 1-thread override and under each of [`PARALLEL`];
+/// returns the serial result and the parallel ones with their counts.
+fn both<R>(f: impl Fn() -> R) -> (R, Vec<(usize, R)>) {
     let serial = parallel::with_threads(1, &f);
-    let parallel_ = parallel::with_threads(4, &f);
+    let parallel_ = PARALLEL.iter().map(|&n| (n, parallel::with_threads(n, &f))).collect();
     (serial, parallel_)
 }
 
@@ -27,23 +32,27 @@ fn nids_replay_identical_across_thread_counts() {
     let trace = generate_trace(&topo, &tm, &TraceConfig::new(3000, 17));
     let h = KeyedHasher::with_key(5);
 
-    let (s, p) = both(|| {
+    let (s, par) = both(|| {
         run_coordinated(&dep, &manifest, &paths, &trace, Placement::EventEngine, h).unwrap()
     });
-    assert_eq!(s.alerts, p.alerts, "coordinated alerts must not depend on thread count");
-    for (a, b) in s.per_node.iter().zip(&p.per_node) {
-        assert_eq!(a.cpu_cycles, b.cpu_cycles);
-        assert_eq!(a.mem_peak, b.mem_peak);
-        assert_eq!(a.alerts, b.alerts);
+    for (n, p) in &par {
+        assert_eq!(s.alerts, p.alerts, "coordinated alerts must not depend on thread count ({n})");
+        for (a, b) in s.per_node.iter().zip(&p.per_node) {
+            assert_eq!(a.cpu_cycles, b.cpu_cycles);
+            assert_eq!(a.mem_peak, b.mem_peak);
+            assert_eq!(a.alerts, b.alerts);
+        }
     }
 
-    let (se, pe) = both(|| run_edge_only(&dep, &trace, h).unwrap());
-    assert_eq!(se.alerts, pe.alerts, "edge-only alerts must not depend on thread count");
+    let (se, par) = both(|| run_edge_only(&dep, &trace, h).unwrap());
+    for (n, pe) in &par {
+        assert_eq!(se.alerts, pe.alerts, "edge-only alerts must not depend on thread count ({n})");
+    }
 }
 
 /// The streaming sharded data plane must be bit-identical to the batch
 /// replay on the same seed: same alerts and the same full `RunStats` on
-/// every node, at 1 and 4 threads and across shard counts (ISSUE 7).
+/// every node, at 1, 2 and 4 threads and across shard counts.
 #[test]
 fn streaming_replay_identical_to_batch() {
     let topo = nwdp::topo::internet2();
@@ -63,7 +72,7 @@ fn streaming_replay_identical_to_batch() {
         run_coordinated(&dep, &manifest, &paths, &trace, Placement::EventEngine, h).unwrap();
 
     for shards in [1usize, 3, 4] {
-        let (s, p) = both(|| {
+        let (s, par) = both(|| {
             run_coordinated_stream(
                 &dep,
                 &manifest,
@@ -75,7 +84,9 @@ fn streaming_replay_identical_to_batch() {
             )
             .unwrap()
         });
-        for (which, stream) in [("1 thread", &s), ("4 threads", &p)] {
+        let runs = std::iter::once((1, &s)).chain(par.iter().map(|(n, p)| (*n, p)));
+        for (threads, stream) in runs {
+            let which = format!("{threads} threads");
             assert_eq!(
                 stream.alerts, batch.alerts,
                 "stream alerts diverged from batch ({shards} shards, {which})"
@@ -100,9 +111,9 @@ fn streaming_replay_identical_to_batch() {
 /// The closed reconfiguration loop must be invisible when it never
 /// swaps: with `Sabotage::Every` the validation gate rejects every
 /// candidate, the original manifest serves end to end, and the run is
-/// bit-identical to the plain streaming data plane — at 1 and 4 threads
-/// and across shard counts (ISSUE 8). This pins the reload runner's
-/// epoch-chunked fan-out (persistent workers, boundary pauses, observed-
+/// bit-identical to the plain streaming data plane — at 1, 2 and 4
+/// threads and across shard counts. This pins the reload runner's
+/// epoch-chunked fan-out (persistent engines, boundary pauses, observed-
 /// mix counting) as pure plumbing with zero effect on results.
 #[test]
 fn reload_with_every_swap_rejected_identical_to_stream() {
@@ -129,7 +140,7 @@ fn reload_with_every_swap_rejected_identical_to_stream() {
             shards,
         )
         .unwrap();
-        let (s, p) = both(|| {
+        let (s, par) = both(|| {
             let reload_cfg = ReloadConfig {
                 epochs: 4,
                 total_sessions: 2000,
@@ -151,7 +162,9 @@ fn reload_with_every_swap_rejected_identical_to_stream() {
             )
             .unwrap()
         });
-        for (which, reload) in [("1 thread", &s), ("4 threads", &p)] {
+        let runs = std::iter::once((1, &s)).chain(par.iter().map(|(n, p)| (*n, p)));
+        for (threads, reload) in runs {
+            let which = format!("{threads} threads");
             assert_eq!(reload.swaps(), 0, "Sabotage::Every must reject everything ({which})");
             assert_eq!(reload.rejected(), 3, "{which}");
             assert!(reload.coverage_floor() > 1.0 - 1e-9, "{which}");
@@ -198,8 +211,10 @@ fn cluster_convergence_identical_across_thread_counts() {
     let mut ccfg = ClusterConfig::default();
     ccfg.health.miss_threshold = 4;
 
-    let (s, p) = both(|| run_cluster(&dep, &manifest, &cfg.caps, &plan, &ccfg).unwrap());
-    assert_eq!(s, p, "cluster run must not depend on thread count");
+    let (s, par) = both(|| run_cluster(&dep, &manifest, &cfg.caps, &plan, &ccfg).unwrap());
+    for (n, p) in &par {
+        assert_eq!(&s, p, "cluster run must not depend on thread count ({n})");
+    }
     assert!(s.final_epoch >= 2, "the crash must force at least one repair epoch");
     assert!(s.stats.delivered > 0 && s.stats.drops_loss > 0);
 }
@@ -220,10 +235,12 @@ fn nips_rounding_identical_across_thread_counts() {
         ..Default::default()
     };
 
-    let (s, p) = both(|| round_best_of(&inst, &relax, &opts).unwrap());
-    assert_eq!(s.objective.to_bits(), p.objective.to_bits(), "objective must be bit-identical");
-    assert_eq!(s.e, p.e);
-    assert_eq!(s.d, p.d);
+    let (s, par) = both(|| round_best_of(&inst, &relax, &opts).unwrap());
+    for (n, p) in &par {
+        assert_eq!(s.objective.to_bits(), p.objective.to_bits(), "objective differs ({n})");
+        assert_eq!(s.e, p.e);
+        assert_eq!(s.d, p.d);
+    }
 }
 
 #[test]
@@ -235,14 +252,16 @@ fn manifests_identical_across_thread_counts() {
     let dep = build_units(&topo, &paths, &tm, &vol, &AnalysisClass::standard_set());
     let cfg = NidsLpConfig::homogeneous(dep.num_nodes, NodeCaps { cpu: 2e8, mem: 4e9 });
 
-    let (s, p) = both(|| {
+    let (s, par) = both(|| {
         let a = solve_nids_lp(&dep, &cfg).unwrap();
         let manifest = generate_manifests(&dep, &a.d);
         (0..dep.num_nodes)
             .map(|j| nwdp::core::nids::node_manifest_to_text(&manifest, NodeId(j)))
             .collect::<Vec<String>>()
     });
-    assert_eq!(s, p, "serialized manifests must not depend on thread count");
+    for (n, p) in &par {
+        assert_eq!(&s, p, "serialized manifests must not depend on thread count ({n})");
+    }
 }
 
 #[test]
@@ -256,12 +275,14 @@ fn fpl_identical_across_thread_counts() {
     inst.cam_cap = vec![f64::INFINITY; inst.num_nodes];
     let cfg = FplConfig { epochs: 12, seed: 6, track_ftl: true, ..Default::default() };
 
-    let (s, p) = both(|| {
+    let (s, par) = both(|| {
         let mut adv = StochasticUniform::new(4, inst.paths.len(), 0.01, 19);
         run_fpl(&inst, &mut adv, &cfg).expect("valid config")
     });
-    assert_eq!(s.fpl_value, p.fpl_value);
-    assert_eq!(s.ftl_value, p.ftl_value);
-    assert_eq!(s.static_prefix_value, p.static_prefix_value);
-    assert_eq!(s.normalized_regret, p.normalized_regret);
+    for (_, p) in &par {
+        assert_eq!(s.fpl_value, p.fpl_value);
+        assert_eq!(s.ftl_value, p.ftl_value);
+        assert_eq!(s.static_prefix_value, p.static_prefix_value);
+        assert_eq!(s.normalized_regret, p.normalized_regret);
+    }
 }
