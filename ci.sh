@@ -9,6 +9,12 @@ cargo build --release
 echo "== tests =="
 cargo test -q
 
+# The solver's own suites (simplex, warm start, dual phase, large sparse)
+# and the nwdp-core unit tests live outside the root package, so the
+# tier-1 `cargo test` above does not run them.
+echo "== solver and core suites =="
+cargo test --release -q -p nwdp-lp -p nwdp-core
+
 # perfbench builds against the program's crates by path and checks their
 # outputs; an API change that breaks its build or its checks fails here.
 echo "== benchmark suite (perfbench) =="

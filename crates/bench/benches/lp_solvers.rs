@@ -1,6 +1,8 @@
-//! LP-solver benches: the dense vs sparse basis-backend crossover (the
-//! ablation DESIGN.md calls out) and the NIDS assignment LP kernel behind
-//! the paper's "0.42 s for a 50-node topology" claim (§2.4).
+//! LP-solver benches: the dense reference backend vs the production sparse
+//! backend on packing LPs from 17 to 1 412 rows (spanning the 1 500-row
+//! limit below which the dense backend used to be chosen; EXPERIMENTS.md
+//! records the ratios), and the NIDS assignment LP kernel behind the
+//! paper's "0.42 s for a 50-node topology" claim (§2.4).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nwdp_core::nids::{solve_nids_lp, NidsLpConfig, NodeCaps};
@@ -40,7 +42,8 @@ fn bench_backends(c: &mut Criterion) {
     let mut g = c.benchmark_group("simplex_backend");
     g.sample_size(10);
     g.measurement_time(std::time::Duration::from_secs(8));
-    for &groups in &[50usize, 200, 600] {
+    // Rows = groups + 12 capacity rows.
+    for &groups in &[5usize, 50, 200, 600, 1400] {
         let p = structured_lp(groups, 12);
         g.bench_with_input(BenchmarkId::new("dense", groups), &p, |b, p| {
             b.iter(|| {

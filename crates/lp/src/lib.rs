@@ -6,10 +6,11 @@
 //! machinery from scratch:
 //!
 //! - [`model::Problem`]: a sparse column-wise LP/MIP builder;
-//! - [`simplex`]: a bounded-variable two-phase revised simplex with two
-//!   basis backends — a dense explicit inverse for small/medium problems
-//!   and a sparse product-form inverse (eta file + permutation) for the
-//!   large, highly structured NIPS relaxations;
+//! - [`simplex`]: a bounded-variable two-phase revised simplex that solves
+//!   every LP, from the NIDS assignment LP to the large, highly structured
+//!   NIPS relaxations, on a sparse product-form inverse (eta file +
+//!   permutation); a dense explicit inverse is kept as the reference
+//!   backend tests compare against;
 //! - [`rowgen`]: lazy-constraint (row generation) wrapper for formulations
 //!   whose row set is huge but mostly slack at the optimum (the GUB/VUB
 //!   rows of the NIPS relaxation);

@@ -1,9 +1,15 @@
-//! Dense explicit-inverse basis backend.
+//! Dense explicit-inverse basis backend: the reference implementation.
 //!
 //! Maintains `B⁻¹` as a column-major dense matrix, updated by elementary row
-//! operations at each pivot (product-form update applied eagerly). Simple,
-//! numerically transparent, and fast for basis sizes up to a few thousand
-//! rows; the sparse backend takes over beyond that.
+//! operations at each pivot (product-form update applied eagerly). Simple
+//! and numerically transparent, but O(m²) per pivot and O(m³) per
+//! factorization, including the one every warm start pays.
+//!
+//! No solve path selects it: [`super::solve`] and [`super::solve_warm`]
+//! always run on [`super::sparse::SparseFactors`], which is faster at every
+//! measured size. It is kept only as the backend that tests and the
+//! `lp_solvers` bench cross-check the sparse one against, through
+//! [`super::solve_warm_with_backend`].
 
 use super::{BasisBackend, SingularBasis};
 

@@ -1,10 +1,14 @@
 //! Bounded-variable two-phase revised simplex.
 //!
 //! The driver is generic over a [`BasisBackend`] that maintains the basis
-//! factorization: [`dense::DenseInverse`] keeps an explicit dense `B⁻¹`
-//! (best for up to a few thousand rows); [`sparse::SparseFactors`] keeps a
-//! sparse LU with eta updates for large structured problems such as the
-//! NIPS relaxations.
+//! factorization. Every production solve ([`solve`], [`solve_warm`],
+//! [`solve_from`]) runs on [`sparse::SparseFactors`], a sparse LU with
+//! product-form eta updates. [`dense::DenseInverse`] keeps an explicit
+//! dense `B⁻¹`; it survives only as the reference backend that tests and
+//! the `lp_solvers` bench compare against through
+//! [`solve_warm_with_backend`]. The sparse backend is faster at every
+//! measured size, from a 17-row packing LP up (EXPERIMENTS.md, "LP
+//! backends").
 //!
 //! Design notes:
 //! - **Standard form.** Every row gets a slack with bounds encoding the
@@ -140,8 +144,6 @@ pub struct SolverOpts {
     pub tol_feas: f64,
     /// Reduced-cost (optimality) tolerance.
     pub tol_dj: f64,
-    /// Use the dense backend when the row count is at most this.
-    pub dense_row_limit: usize,
     /// Consecutive degenerate pivots before switching to Bland's rule.
     pub bland_trigger: usize,
     /// Recompute basic values every this many iterations.
@@ -175,7 +177,6 @@ impl Default for SolverOpts {
             max_iters: None,
             tol_feas: 1e-7,
             tol_dj: 1e-9,
-            dense_row_limit: 1500,
             bland_trigger: 80,
             refresh_every: 500,
             dual_phase: dual_phase_default(),
@@ -1241,7 +1242,9 @@ fn try_solve<B: BasisBackend>(
         n_pivots: 0,
         n_bound_flips: 0,
         n_degen: 0,
-        n_refactor: 0,
+        // A warm start factorized its basis above; count it with the
+        // mid-solve refactorizations.
+        n_refactor: u64::from(use_warm),
         n_dual_pivots: 0,
         n_dual_flips: 0,
         dual_attempted: false,
@@ -1498,8 +1501,8 @@ fn try_solve<B: BasisBackend>(
     )
 }
 
-/// Solve `p` as a pure LP with automatically chosen backend (integer
-/// markers are ignored; use [`crate::milp`] to enforce integrality).
+/// Solve `p` as a pure LP on the sparse backend (integer markers are
+/// ignored; use [`crate::milp`] to enforce integrality).
 pub fn solve(p: &Problem, opts: &SolverOpts) -> Solution {
     solve_warm(p, opts, None).0
 }
@@ -1510,13 +1513,7 @@ pub fn solve_warm(
     opts: &SolverOpts,
     warm: Option<&WarmStart>,
 ) -> (Solution, Option<WarmStart>) {
-    if p.num_cons() <= opts.dense_row_limit {
-        let mut b = dense::DenseInverse::new();
-        solve_warm_with_backend(p, opts, &mut b, warm)
-    } else {
-        let mut b = sparse::SparseFactors::new();
-        solve_warm_with_backend(p, opts, &mut b, warm)
-    }
+    solve_warm_with_backend(p, opts, &mut sparse::SparseFactors::new(), warm)
 }
 
 /// Re-solve `p` starting from a prior optimal basis (see the module-level

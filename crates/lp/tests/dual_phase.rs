@@ -2,6 +2,10 @@
 //! basis that is still dual feasible must be repaired in place (counted
 //! as a warm-start hit), not discarded for a cold re-solve.
 //!
+//! The file also pins the warm-start accounting that the dual phase
+//! reports through: the factorization of a restored basis counts as a
+//! refactorization.
+//!
 //! The obs counters these tests assert are process-global, so every test
 //! that reads them serializes on one mutex; the delta-based assertions
 //! then see only their own solve.
@@ -125,4 +129,29 @@ fn dimension_mismatch_attributed_as_rejected() {
         ctr("simplex.warmstart_fallbacks"),
         ctr("simplex.warmstart_rejected") + ctr("simplex.warmstart_singular"),
     );
+}
+
+#[test]
+fn warm_start_factorization_counts_as_refactorization() {
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    let was = obs::enabled();
+    obs::set_enabled(true);
+
+    // A cold solve of this two-variable LP starts from the slack basis and
+    // never refactorizes; restarting from its own optimum factorizes the
+    // restored basis exactly once.
+    let p = cover_lp(2.0, 10.0);
+    let refac0 = ctr("simplex.refactorizations");
+    let (cold, snap) = solve_warm(&p, &SolverOpts::default(), None);
+    let refac1 = ctr("simplex.refactorizations");
+    let hits0 = ctr("simplex.warmstart_hits");
+    let (warm, _) = solve_warm(&p, &SolverOpts::default(), snap.as_ref());
+    let refac2 = ctr("simplex.refactorizations");
+    obs::set_enabled(was);
+
+    assert_eq!(cold.status, Status::Optimal);
+    assert_eq!(warm.status, Status::Optimal);
+    assert_eq!(ctr("simplex.warmstart_hits") - hits0, 1, "restart must be a warm hit");
+    assert_eq!(refac1 - refac0, 0, "cold solve from the slack basis");
+    assert_eq!(refac2 - refac1, 1, "warm solve factorizes its basis once");
 }

@@ -1,8 +1,10 @@
 //! Warm-start correctness: resuming from an optimal snapshot after adding
-//! rows must reach the same optimum as a cold solve, on both backends,
-//! certified by KKT.
+//! rows must reach the same optimum as a cold solve, certified by KKT. The
+//! row-addition sweep runs half its trials on the production sparse
+//! backend and half on the dense reference backend.
 
-use nwdp_lp::simplex::{solve_warm, SolverOpts};
+use nwdp_lp::simplex::dense::DenseInverse;
+use nwdp_lp::simplex::{solve_warm, solve_warm_with_backend, SolverOpts, WarmStart};
 use nwdp_lp::{verify_kkt, Cmp, KktTol, Problem, Sense, Status};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -24,11 +26,16 @@ fn random_growing_lp(trial: u64) -> (Problem, Vec<nwdp_lp::VarId>, StdRng) {
 fn warm_matches_cold_across_row_additions() {
     for trial in 0..120u64 {
         let (mut p, vars, mut rng) = random_growing_lp(trial);
-        let mut opts = SolverOpts::default();
-        if trial % 2 == 0 {
-            opts.dense_row_limit = 0; // force the sparse backend half the time
-        }
-        let (s0, mut warm) = solve_warm(&p, &opts, None);
+        let opts = SolverOpts::default();
+        // Odd trials cross-check the dense reference backend's warm path.
+        let solve = |p: &Problem, warm: Option<&WarmStart>| {
+            if trial % 2 == 0 {
+                solve_warm(p, &opts, warm)
+            } else {
+                solve_warm_with_backend(p, &opts, &mut DenseInverse::new(), warm)
+            }
+        };
+        let (s0, mut warm) = solve(&p, None);
         assert_eq!(s0.status, Status::Optimal, "trial {trial} base");
         // Grow the problem in 2 stages, warm-starting each time.
         for stage in 0..2 {
@@ -38,8 +45,8 @@ fn warm_matches_cold_across_row_additions() {
                     (0..k).map(|t| (vars[(t * 3 + c + stage) % vars.len()], 1.0)).collect();
                 p.add_con(format!("cut{stage}_{c}"), &terms, Cmp::Le, rng.random_range(0.3..1.2));
             }
-            let (sw, w2) = solve_warm(&p, &opts, warm.as_ref());
-            let (sc, _) = solve_warm(&p, &opts, None);
+            let (sw, w2) = solve(&p, warm.as_ref());
+            let (sc, _) = solve(&p, None);
             assert_eq!(sw.status, Status::Optimal, "trial {trial} stage {stage} warm");
             assert_eq!(sc.status, Status::Optimal, "trial {trial} stage {stage} cold");
             assert!(

@@ -15,7 +15,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`core`] | `nwdp-core` | NIDS assignment LP + manifests, NIPS MILP + randomized rounding, provisioning |
-//! | [`lp`] | `nwdp-lp` | simplex (dense + sparse), min-cost flow, branch & bound, row generation |
+//! | [`lp`] | `nwdp-lp` | sparse simplex, min-cost flow, branch & bound, row generation |
 //! | [`topo`] | `nwdp-topo` | topologies, deterministic shortest-path routing |
 //! | [`traffic`] | `nwdp-traffic` | gravity matrices, template sessions, anomaly injection, match rates |
 //! | [`hash`] | `nwdp-hash` | Bob (lookup3) hashing, flow keys, hash ranges |
