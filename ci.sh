@@ -3,8 +3,10 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# --workspace also builds the `repro` binary the gates below run; the
+# root package alone does not depend on it.
 echo "== build (release) =="
-cargo build --release
+cargo build --release --workspace
 
 echo "== tests =="
 cargo test -q
@@ -61,8 +63,10 @@ echo "resilience lint OK"
 echo "== fmt =="
 cargo fmt --check
 
+# --workspace lints every member crate's test, bench and example targets
+# too, not only the root package's.
 echo "== clippy =="
-cargo clippy --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 # Library code must not panic on fallible paths; surface unwrap/expect as
 # warnings there. --lib keeps #[cfg(test)] modules, test targets, benches

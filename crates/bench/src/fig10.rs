@@ -15,6 +15,8 @@ use nwdp_core::nips::{round_best_of, solve_relaxation, NipsInstance, RoundingOpt
 use nwdp_lp::rowgen::RowGenOpts;
 use nwdp_topo::{as1221, as1239, as3257, geant, internet2, PathDb, Topology};
 use nwdp_traffic::{MatchRates, TrafficMatrix, VolumeModel};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
 /// Path cap for the larger ISP topologies (top pairs by gravity volume);
 /// see EXPERIMENTS.md for the substitution note.
@@ -85,7 +87,10 @@ pub fn run_config(topo: &Topology, cap_frac: f64, scale: Scale, base_seed: u64) 
 }
 
 /// Full Fig 10 sweep: one scoped thread per (topology, capacity)
-/// configuration, results in sweep order.
+/// configuration, results in sweep order. Each finished configuration
+/// prints one progress line on stderr: topology, capacity, its own
+/// seconds, configurations done out of the total, and an ETA from the
+/// mean wall time per finished configuration.
 pub fn run(scale: Scale, topos: &[Topology]) -> Vec<Fig10Point> {
     let configs: Vec<(&Topology, f64, u64)> = topos
         .iter()
@@ -97,8 +102,20 @@ pub fn run(scale: Scale, topos: &[Topology]) -> Vec<Fig10Point> {
                 .map(move |(ci, cap)| (topo, cap, 10_000 + ci as u64 * 1000))
         })
         .collect();
+    let total = configs.len();
+    let done = AtomicUsize::new(0);
+    let start = Instant::now();
     nwdp_core::parallel::par_map(&configs, |_, &(topo, cap, seed)| {
-        run_config(topo, cap, scale, seed)
+        let t = Instant::now();
+        let point = run_config(topo, cap, scale, seed);
+        let n = done.fetch_add(1, Ordering::Relaxed) + 1;
+        let eta = start.elapsed().as_secs_f64() / n as f64 * (total - n) as f64;
+        eprintln!(
+            "fig10: {} cap {cap:.2} done in {:.1}s [{n}/{total}] ETA {eta:.0}s",
+            topo.name,
+            t.elapsed().as_secs_f64()
+        );
+        point
     })
 }
 

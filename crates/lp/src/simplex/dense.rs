@@ -125,12 +125,16 @@ impl BasisBackend for DenseInverse {
         }
     }
 
-    fn btran_unit(&self, r: usize, out: &mut [f64]) {
+    fn btran_unit(&self, r: usize, out: &mut [f64], support: &mut Vec<usize>) {
         // Row `r` of the explicit inverse, read straight out of the
         // column-major store — no BTRAN pass needed.
         let m = self.m;
+        support.clear();
         for (k, o) in out.iter_mut().enumerate().take(m) {
             *o = self.binv[k * m + r];
+            if *o != 0.0 {
+                support.push(k);
+            }
         }
     }
 
@@ -215,7 +219,7 @@ mod tests {
             let mut via_btran = vec![0.0; 3];
             b.btran(&e, &mut via_btran);
             let mut direct = vec![0.0; 3];
-            b.btran_unit(r, &mut direct);
+            b.btran_unit(r, &mut direct, &mut Vec::new());
             for (a, c) in direct.iter().zip(&via_btran) {
                 assert!((a - c).abs() < 1e-12, "row {r}: {direct:?} vs {via_btran:?}");
             }

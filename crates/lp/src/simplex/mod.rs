@@ -54,17 +54,24 @@
 //! feasible* under the new costs (possibly after flipping boxed nonbasic
 //! variables to the bound their reduced cost points at) is **repaired in
 //! place by dual simplex pivots**: leaving-variable pricing picks the
-//! most-violating basic variable, a BTRAN row extraction
-//! ([`BasisBackend::btran_unit`]) prices the pivot row, and the dual
-//! ratio test picks the entering column that preserves dual feasibility.
-//! A bounded anti-cycling rule mirrors the primal one (Bland-style
-//! smallest-index selection after a run of degenerate dual pivots). The
-//! repair is observable as `simplex.dual_phase_runs` / `dual_repairs` /
-//! `dual_pivots` / `dual_flips`; a dual phase that stalls (iteration
-//! limit, no admissible pivot, singular basis) falls back cold like any
-//! other rejection. `NWDP_NO_DUAL=1` (or `SolverOpts::dual_phase =
-//! false`) disables the phase entirely, restoring the old reject-to-cold
-//! behavior.
+//! most-violating basic variable from a list of infeasible positions kept
+//! up to date over each pivot's FTRAN support, a BTRAN row extraction
+//! ([`BasisBackend::btran_unit`]) yields `ρ = B⁻ᵀeᵣ` with its support,
+//! and the dual ratio test over the pivot row picks the entering column
+//! that preserves dual feasibility. The pivot row `αⱼ = ρᵀaⱼ` is formed
+//! row-wise, over a compressed-row copy of the matrix restricted to ρ's
+//! nonzero rows, when ρ is sparse (at most 10 % of the rows nonzero),
+//! and column-wise otherwise. Reduced costs are priced once when
+//! the phase starts and then updated by each pivot (`dⱼ −= θαⱼ`), with a
+//! fresh pricing at every refresh. A bounded anti-cycling rule mirrors
+//! the primal one (Bland-style smallest-index selection after a run of
+//! degenerate dual pivots). The repair is observable as
+//! `simplex.dual_phase_runs` / `dual_repairs` / `dual_pivots` /
+//! `dual_flips` / `dual_rows_rowwise`; a dual phase that stalls
+//! (iteration limit, no admissible pivot, singular basis) falls back cold
+//! like any other rejection. `NWDP_NO_DUAL=1` (or `SolverOpts::dual_phase
+//! = false`) disables the phase entirely, restoring the old
+//! reject-to-cold behavior and phase-1 artificials for appended rows.
 //!
 //! Accepted restarts bump `simplex.warmstart_hits` and report their
 //! pivot count under `simplex.warmstart_iterations`, so the
@@ -72,10 +79,12 @@
 //! metrics snapshot (`simplex.iterations` minus the warm share). When
 //! only costs changed the old basis is still primal feasible, phase 1 is
 //! skipped entirely, and the solve resumes as if the objective had been
-//! swapped mid-run; when only new rows arrived the extended basis is
-//! block-triangular and phase 1 repairs just the new rows; when
-//! bounds/rhs/coefficients shifted the optimum away from the old vertex,
-//! the dual phase walks there without ever discarding the basis.
+//! swapped mid-run. When new rows arrived (a row-generation cut round)
+//! every new row's slack starts basic, violated or not: the extended
+//! basis is block-triangular and still dual feasible, so the dual phase
+//! repairs the violated cuts by dual pivots, with no phase-1 artificials.
+//! When bounds/rhs/coefficients shifted the optimum away from the old
+//! vertex, the dual phase walks there without ever discarding the basis.
 
 pub mod dense;
 pub mod sparse;
@@ -120,13 +129,17 @@ pub trait BasisBackend {
         self.update(pivot_row, y);
     }
     /// `out = B⁻ᵀ eᵣ` — row `r` of `B⁻¹`. The dual phase uses it to
-    /// extract the pivot row of the tableau (`αⱼ = out · aⱼ`). The
-    /// default BTRANs a materialized unit vector; backends override it
-    /// with a cheaper direct extraction.
-    fn btran_unit(&self, r: usize, out: &mut [f64]) {
+    /// extract the pivot row of the tableau (`αⱼ = out · aⱼ`). `out` must
+    /// be all zeros on entry; on return `support` lists every index where
+    /// `out` is nonzero, in no particular order, and may also list zeros
+    /// or repeat an index. The default BTRANs a materialized unit vector
+    /// and scans; backends override it with a cheaper direct extraction.
+    fn btran_unit(&self, r: usize, out: &mut [f64], support: &mut Vec<usize>) {
         let mut e = vec![0.0; out.len()];
         e[r] = 1.0;
         self.btran(&e, out);
+        support.clear();
+        support.extend((0..out.len()).filter(|&i| out[i] != 0.0));
     }
     /// Backend suggests a refactorization would be worthwhile (e.g. the
     /// eta file grew past its budget).
@@ -213,8 +226,27 @@ struct Core<'a, B: BasisBackend> {
     y_touched: Vec<usize>,
     pi: Vec<f64>,
     cb: Vec<f64>,
-    /// BTRAN image of the leaving row's unit vector (dual pricing).
+    /// BTRAN image of the leaving row's unit vector (dual pricing) and
+    /// its nonzero support.
     rho: Vec<f64>,
+    rho_idx: Vec<usize>,
+    // Dual-phase state, sized on the phase's first use.
+    /// Reduced costs `dⱼ = cⱼ − πᵀaⱼ`, priced once when the phase starts
+    /// and updated by each dual pivot.
+    d: Vec<f64>,
+    /// Pivot-row entries `αⱼ = ρᵀaⱼ`: nonzero only on `alpha_idx`
+    /// (`alpha_on` marks the listed columns) after a row-wise pass, on
+    /// any nonbasic column after a column-wise one (`alpha_dense`).
+    alpha: Vec<f64>,
+    alpha_idx: Vec<usize>,
+    alpha_on: Vec<bool>,
+    alpha_dense: bool,
+    /// Row-wise copy of the structural matrix for the row-wise pivot row.
+    rows: Option<RowMatrix>,
+    /// Basis positions whose value may violate its bounds (`listed`
+    /// marks them); the leaving-row choice scans only these.
+    infeasible: Vec<usize>,
+    listed: Vec<bool>,
     degen_run: usize,
     bland: bool,
     /// Keep Bland's rule on for the whole solve (singular-restart mode).
@@ -232,9 +264,62 @@ struct Core<'a, B: BasisBackend> {
     n_degen: u64,
     n_refactor: u64,
     n_dual_pivots: u64,
+    n_dual_rowwise: u64,
     n_dual_flips: u64,
     dual_attempted: bool,
     dual_repaired: bool,
+}
+
+/// Largest share of nonzeros in `ρ` for which the dual phase forms the
+/// pivot row row-wise. Above it, one pass over the columns is cheaper than
+/// walking that many matrix rows (the NIDS LP's `ρ` is near-dense).
+const ROW_WISE_MAX_FILL: f64 = 0.10;
+
+/// Compressed-row copy of the scaled structural matrix: row `i` holds
+/// `(col[k], val[k])` for `k` in `start[i]..start[i + 1]`, columns
+/// ascending. Slack columns stay implicit (a unit entry on their row).
+struct RowMatrix {
+    start: Vec<usize>,
+    col: Vec<u32>,
+    val: Vec<f64>,
+}
+
+impl RowMatrix {
+    fn build(m: usize, cols: &[Vec<(usize, f64)>]) -> Self {
+        let mut start = vec![0usize; m + 1];
+        for col in cols {
+            for &(row, _) in col {
+                start[row + 1] += 1;
+            }
+        }
+        for i in 0..m {
+            start[i + 1] += start[i];
+        }
+        let mut next = start[..m].to_vec();
+        let mut col = vec![0u32; start[m]];
+        let mut val = vec![0.0f64; start[m]];
+        for (j, c) in cols.iter().enumerate() {
+            for &(row, a) in c {
+                let k = next[row];
+                col[k] = j as u32;
+                val[k] = a;
+                next[row] += 1;
+            }
+        }
+        RowMatrix { start, col, val }
+    }
+}
+
+/// Best entering candidate of one dual ratio test.
+struct DualRatio {
+    /// The leaving variable sits below its lower bound (else above its
+    /// upper bound).
+    below: bool,
+    /// Smallest-index tie-break (anti-cycling).
+    bland: bool,
+    q: usize,
+    ratio: f64,
+    mag: f64,
 }
 
 enum PhaseEnd {
@@ -260,6 +345,72 @@ enum DualEnd {
 }
 
 impl<'a, B: BasisBackend> Core<'a, B> {
+    /// A solver core over standardized columns (structural, then one slack
+    /// per row, then any artificials) with the starting basis given by
+    /// `state`/`basis`/`xb`; `backend` must already factorize that basis.
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        n_struct: usize,
+        cols: Vec<Vec<(usize, f64)>>,
+        lb: Vec<f64>,
+        ub: Vec<f64>,
+        cost: Vec<f64>,
+        state: Vec<VState>,
+        basis: Vec<usize>,
+        xb: Vec<f64>,
+        rhs: Vec<f64>,
+        backend: &'a mut B,
+        opts: &'a SolverOpts,
+        start_bland: bool,
+    ) -> Self {
+        let m = basis.len();
+        Core {
+            m,
+            ncols: cols.len(),
+            n_struct,
+            cols,
+            lb,
+            ub,
+            cost,
+            state,
+            basis,
+            xb,
+            rhs,
+            backend,
+            opts,
+            iterations: 0,
+            y: vec![0.0; m],
+            y_touched: Vec::new(),
+            pi: vec![0.0; m],
+            cb: vec![0.0; m],
+            rho: vec![0.0; m],
+            rho_idx: Vec::new(),
+            d: Vec::new(),
+            alpha: Vec::new(),
+            alpha_idx: Vec::new(),
+            alpha_on: Vec::new(),
+            alpha_dense: false,
+            rows: None,
+            infeasible: Vec::new(),
+            listed: Vec::new(),
+            degen_run: 0,
+            bland: start_bland,
+            force_bland: start_bland,
+            price_section: 0,
+            trace: obs::trace_enabled(),
+            singular: false,
+            n_pivots: 0,
+            n_bound_flips: 0,
+            n_degen: 0,
+            n_refactor: 0,
+            n_dual_pivots: 0,
+            n_dual_rowwise: 0,
+            n_dual_flips: 0,
+            dual_attempted: false,
+            dual_repaired: false,
+        }
+    }
+
     fn var_value(&self, j: usize) -> f64 {
         match self.state[j] {
             VState::Basic(r) => self.xb[r],
@@ -562,10 +713,33 @@ impl<'a, B: BasisBackend> Core<'a, B> {
         }
     }
 
+    /// Price every column from scratch under the current basis and
+    /// `self.cost`: `π = B⁻ᵀc_B`, `dⱼ = cⱼ − πᵀaⱼ`, zero on basic columns.
+    fn compute_dj(&mut self) {
+        for (pos, &j) in self.basis.iter().enumerate() {
+            self.cb[pos] = self.cost[j];
+        }
+        let (pi, cb) = (&mut self.pi, &self.cb);
+        self.backend.btran(cb, pi);
+        self.d.resize(self.ncols, 0.0);
+        for j in 0..self.ncols {
+            self.d[j] = if matches!(self.state[j], VState::Basic(_)) {
+                0.0
+            } else {
+                let mut dj = self.cost[j];
+                for &(row, a) in &self.cols[j] {
+                    dj -= self.pi[row] * a;
+                }
+                dj
+            };
+        }
+    }
+
     /// Classify the current basis for dual feasibility under `self.cost`
-    /// (which must already hold the phase-2 objective). Boxed nonbasic
-    /// variables whose reduced cost points at their other bound are
-    /// *flipped* there — a legal dual-simplex move that restores their
+    /// (which must already hold the phase-2 objective), leaving the
+    /// reduced costs in `self.d` for [`Self::iterate_dual`]. Boxed
+    /// nonbasic variables whose reduced cost points at their other bound
+    /// are *flipped* there — a legal dual-simplex move that restores their
     /// sign condition exactly. Returns `false` when an unflippable
     /// variable (one finite bound, or free) violates its sign condition
     /// beyond a small absolute slack: that basis is dual infeasible and
@@ -573,19 +747,12 @@ impl<'a, B: BasisBackend> Core<'a, B> {
     /// so the caller must `refresh()` before pivoting when this reports
     /// any flips.
     fn dual_classify_and_flip(&mut self) -> bool {
-        for (pos, &j) in self.basis.iter().enumerate() {
-            self.cb[pos] = self.cost[j];
-        }
-        let (pi, cb) = (&mut self.pi, &self.cb);
-        self.backend.btran(cb, pi);
+        self.compute_dj();
         for j in 0..self.ncols {
             if matches!(self.state[j], VState::Basic(_)) || self.lb[j] == self.ub[j] {
                 continue; // basic rows price themselves; fixed vars never move
             }
-            let mut dj = self.cost[j];
-            for &(row, a) in &self.cols[j] {
-                dj -= self.pi[row] * a;
-            }
+            let dj = self.d[j];
             // Tolerated drift for violations nothing can fix: the primal
             // phase 2 after the repair mops up reduced costs this small.
             let slack = 1e-6 * (1.0 + self.cost[j].abs());
@@ -613,16 +780,242 @@ impl<'a, B: BasisBackend> Core<'a, B> {
         true
     }
 
+    /// List basis position `pos` as a leaving-row candidate when its value
+    /// breaks its bounds. `false` when the value is non-finite.
+    fn note_infeasible(&mut self, pos: usize) -> bool {
+        let x = self.xb[pos];
+        if !x.is_finite() {
+            return false;
+        }
+        let bi = self.basis[pos];
+        if !self.listed[pos] && (self.lb[bi] - x).max(x - self.ub[bi]) > self.opts.tol_feas {
+            self.listed[pos] = true;
+            self.infeasible.push(pos);
+        }
+        true
+    }
+
+    /// Rebuild the leaving-row candidate list from every basic value.
+    /// `false` when a value is non-finite.
+    fn scan_infeasible(&mut self) -> bool {
+        self.listed.resize(self.m, false);
+        for &pos in &self.infeasible {
+            self.listed[pos] = false;
+        }
+        self.infeasible.clear();
+        (0..self.m).all(|pos| self.note_infeasible(pos))
+    }
+
+    /// Leaving-variable pricing over the candidate list: the most-violating
+    /// basic variable (lowest position on ties), or under Bland's rule the
+    /// violated one with the smallest variable index. Candidates back
+    /// inside their bounds drop off the list.
+    fn choose_leaving(&mut self, bland: bool) -> Option<usize> {
+        let tol = self.opts.tol_feas;
+        let mut r: Option<usize> = None;
+        let mut worst = tol;
+        let mut k = 0;
+        while k < self.infeasible.len() {
+            let pos = self.infeasible[k];
+            let bi = self.basis[pos];
+            let x = self.xb[pos];
+            let v = (self.lb[bi] - x).max(x - self.ub[bi]);
+            if v <= tol {
+                self.listed[pos] = false;
+                self.infeasible.swap_remove(k);
+                continue;
+            }
+            k += 1;
+            let better = match r {
+                None => true,
+                Some(r) if bland => bi < self.basis[r],
+                Some(r) => v > worst || (v == worst && pos < r),
+            };
+            if better {
+                worst = v;
+                r = Some(pos);
+            }
+        }
+        r
+    }
+
+    /// Refresh basic values, then re-price every column and rebuild the
+    /// candidate list, so drift in the updated `dⱼ` never outlives a
+    /// refresh.
+    fn dual_refresh(&mut self) -> Result<(), DualEnd> {
+        self.refresh();
+        if self.singular {
+            return Err(DualEnd::Singular);
+        }
+        self.compute_dj();
+        if !self.scan_infeasible() {
+            return Err(DualEnd::NoPivot);
+        }
+        Ok(())
+    }
+
+    /// Form the pivot row `αⱼ = ρᵀaⱼ` of basis position `r`, with
+    /// `ρ = B⁻ᵀeᵣ`, into `alpha`, and run the bounded dual ratio test over
+    /// its nonzeros: among columns whose entry moves the leaving variable
+    /// toward its violated bound (`below` it, or above), the one with the
+    /// smallest |d_j|/|α_j| keeps every other reduced cost on the right
+    /// side of zero. Returns the entering column and its ratio.
+    ///
+    /// A sparse `ρ` walks the matrix rows of its nonzeros (the row copy is
+    /// built on first use; slack `n + i` gets `ρᵢ`), touching only the
+    /// columns that meet those rows, listed in `alpha_idx`. A dense `ρ`
+    /// takes one pass over the nonbasic columns instead and leaves `alpha`
+    /// dense (`alpha_dense`).
+    fn dual_ratio_test(&mut self, r: usize, below: bool, bland: bool) -> Option<(usize, f64)> {
+        for &i in &self.rho_idx {
+            self.rho[i] = 0.0;
+        }
+        let mut support = std::mem::take(&mut self.rho_idx);
+        self.backend.btran_unit(r, &mut self.rho, &mut support);
+        self.rho_idx = support;
+        for &j in &self.alpha_idx {
+            self.alpha[j] = 0.0;
+            self.alpha_on[j] = false;
+        }
+        self.alpha_idx.clear();
+        self.alpha.resize(self.ncols, 0.0);
+        self.alpha_on.resize(self.ncols, false);
+
+        let mut best = DualRatio { below, bland, q: usize::MAX, ratio: f64::INFINITY, mag: 0.0 };
+        if self.rho_idx.len() as f64 <= ROW_WISE_MAX_FILL * self.m as f64 {
+            self.n_dual_rowwise += 1;
+            if self.alpha_dense {
+                self.alpha.fill(0.0);
+                self.alpha_dense = false;
+            }
+            // The support may repeat an index; each row must count once.
+            self.rho_idx.sort_unstable();
+            self.rho_idx.dedup();
+            let (m, n) = (self.m, self.n_struct);
+            let rows = self.rows.get_or_insert_with(|| RowMatrix::build(m, &self.cols[..n]));
+            for &i in &self.rho_idx {
+                let ri = self.rho[i];
+                if ri == 0.0 {
+                    continue;
+                }
+                for k in rows.start[i]..rows.start[i + 1] {
+                    let j = rows.col[k] as usize;
+                    if !self.alpha_on[j] {
+                        self.alpha_on[j] = true;
+                        self.alpha_idx.push(j);
+                    }
+                    self.alpha[j] += ri * rows.val[k];
+                }
+                let s = n + i;
+                self.alpha[s] = ri;
+                self.alpha_on[s] = true;
+                self.alpha_idx.push(s);
+            }
+            for &j in &self.alpha_idx {
+                self.consider_entering(&mut best, j);
+            }
+        } else {
+            self.alpha_dense = true;
+            for j in 0..self.ncols {
+                let mut a = 0.0;
+                if !matches!(self.state[j], VState::Basic(_)) {
+                    for &(row, v) in &self.cols[j] {
+                        a += self.rho[row] * v;
+                    }
+                }
+                self.alpha[j] = a;
+                if a != 0.0 {
+                    self.consider_entering(&mut best, j);
+                }
+            }
+        }
+        (best.q != usize::MAX).then_some((best.q, best.ratio))
+    }
+
+    /// One column of the dual ratio test (see [`Self::dual_ratio_test`]).
+    fn consider_entering(&self, best: &mut DualRatio, j: usize) {
+        let (can_inc, can_dec) = match self.state[j] {
+            VState::Basic(_) => return,
+            VState::AtLower => (true, false),
+            VState::AtUpper => (false, true),
+            VState::FreeZero => (true, true),
+        };
+        if self.lb[j] == self.ub[j] {
+            return;
+        }
+        let alpha = self.alpha[j];
+        if alpha.abs() <= 1e-9 {
+            return;
+        }
+        // dx_B[r]/dx_j = -α_j: to move x_B[r] up (below) we need α < 0 on
+        // an increasing x_j or α > 0 on a decreasing one; the mirror for
+        // moving down.
+        let admissible = if best.below {
+            (can_inc && alpha < 0.0) || (can_dec && alpha > 0.0)
+        } else {
+            (can_inc && alpha > 0.0) || (can_dec && alpha < 0.0)
+        };
+        if !admissible {
+            return;
+        }
+        // |d_j| measured in the feasible direction, clamped at 0 so
+        // tolerated drift never yields a negative ratio.
+        let dj = self.d[j];
+        let num = match self.state[j] {
+            VState::AtLower => dj.max(0.0),
+            VState::AtUpper => (-dj).max(0.0),
+            _ => dj.abs(),
+        };
+        let ratio = num / alpha.abs();
+        let better = if best.bland {
+            ratio < best.ratio - 1e-12
+                || (ratio <= best.ratio + 1e-12 && (best.q == usize::MAX || j < best.q))
+        } else {
+            ratio < best.ratio - 1e-9 || (ratio <= best.ratio + 1e-9 && alpha.abs() > best.mag)
+        };
+        if better {
+            best.ratio = best.ratio.min(ratio);
+            best.mag = alpha.abs();
+            best.q = j;
+        }
+    }
+
+    /// Dual step `θ = d_q/α_q` on the reduced costs of the pivot row's
+    /// columns: `dⱼ −= θαⱼ` on nonbasic columns, then q enters at zero and
+    /// the leaving variable `bi` takes `−θ`.
+    fn update_reduced_costs(&mut self, q: usize, bi: usize) {
+        let theta = self.d[q] / self.alpha[q];
+        if self.alpha_dense {
+            // Basic columns carry α = 0 and d = 0 here, so a flat pass is
+            // exact.
+            for (d, &a) in self.d.iter_mut().zip(&self.alpha) {
+                *d -= theta * a;
+            }
+        } else {
+            for &j in &self.alpha_idx {
+                if !matches!(self.state[j], VState::Basic(_)) {
+                    self.d[j] -= theta * self.alpha[j];
+                }
+            }
+        }
+        self.d[q] = 0.0;
+        self.d[bi] = -theta;
+    }
+
     /// Dual simplex phase: restore primal feasibility while preserving
-    /// dual feasibility. Each pivot picks the most-violating basic
-    /// variable (leaving-variable pricing; Bland mode switches to the
-    /// smallest-index violated row), BTRANs that row out of the basis
-    /// ([`BasisBackend::btran_unit`]), and runs the bounded dual ratio
-    /// test over the nonbasic columns: among columns whose tableau entry
-    /// moves the leaving variable toward its violated bound, the one with
-    /// the smallest |d_j|/|α_j| keeps every other reduced cost on the
-    /// right side of zero. Degenerate dual steps (ratio ≈ 0) trip the
-    /// same bounded anti-cycling rule as the primal phase: after
+    /// dual feasibility. `self.d` must hold the current reduced costs (as
+    /// [`Self::dual_classify_and_flip`] leaves them). Each pivot picks the
+    /// most-violating basic variable from the candidate list
+    /// ([`Self::choose_leaving`]; Bland mode switches to the
+    /// smallest-index violated row), forms its tableau row
+    /// ([`Self::pivot_row`]), and runs the bounded dual ratio test over
+    /// that row's nonzeros: among columns whose tableau entry moves the
+    /// leaving variable toward its violated bound, the one with the
+    /// smallest |d_j|/|α_j| keeps every other reduced cost on the right
+    /// side of zero. The pivot then updates `dⱼ −= θαⱼ` with
+    /// `θ = d_q/α_q` (the leaving variable gets `−θ`) and re-lists only
+    /// the positions the FTRAN touched. Degenerate dual steps (ratio ≈ 0)
+    /// trip the same bounded anti-cycling rule as the primal phase: after
     /// `bland_trigger` of them in a row, both the row choice and the
     /// ratio-test tie-break turn into smallest-index (Bland) selection,
     /// which cannot cycle.
@@ -631,103 +1024,25 @@ impl<'a, B: BasisBackend> Core<'a, B> {
         let mut degen_run = 0usize;
         let mut bland = self.force_bland;
         let mut stale_retry = false;
+        if !self.scan_infeasible() {
+            return DualEnd::NoPivot; // poisoned values: bail cold
+        }
         loop {
             if local_iters >= max_iters {
                 return DualEnd::IterLimit;
             }
             // ---- Leaving-variable pricing. ----
-            let mut r = usize::MAX;
-            let mut worst = self.opts.tol_feas;
-            for pos in 0..self.m {
-                let bi = self.basis[pos];
-                let x = self.xb[pos];
-                if !x.is_finite() {
-                    return DualEnd::NoPivot; // poisoned values: bail cold
-                }
-                let v = (self.lb[bi] - x).max(x - self.ub[bi]);
-                if bland {
-                    if v > self.opts.tol_feas && (r == usize::MAX || bi < self.basis[r]) {
-                        r = pos;
-                    }
-                } else if v > worst {
-                    worst = v;
-                    r = pos;
-                }
-            }
-            if r == usize::MAX {
+            let Some(r) = self.choose_leaving(bland) else {
                 return DualEnd::PrimalFeasible;
-            }
+            };
             let bi = self.basis[r];
             let below = self.xb[r] < self.lb[bi];
             let target = if below { self.lb[bi] } else { self.ub[bi] };
 
-            // ---- Price the pivot row: ρ = B⁻ᵀ eᵣ, π = B⁻ᵀ c_B. ----
-            self.backend.btran_unit(r, &mut self.rho);
-            for (pos, &j) in self.basis.iter().enumerate() {
-                self.cb[pos] = self.cost[j];
-            }
-            let (pi, cb) = (&mut self.pi, &self.cb);
-            self.backend.btran(cb, pi);
-
-            // ---- Dual ratio test. ----
-            let mut q = usize::MAX;
-            let mut best_ratio = f64::INFINITY;
-            let mut best_mag = 0.0f64;
-            for j in 0..self.ncols {
-                let (can_inc, can_dec) = match self.state[j] {
-                    VState::Basic(_) => continue,
-                    VState::AtLower => (true, false),
-                    VState::AtUpper => (false, true),
-                    VState::FreeZero => (true, true),
-                };
-                if self.lb[j] == self.ub[j] {
-                    continue;
-                }
-                let mut alpha = 0.0;
-                let mut dj = self.cost[j];
-                for &(row, a) in &self.cols[j] {
-                    alpha += self.rho[row] * a;
-                    dj -= self.pi[row] * a;
-                }
-                if alpha.abs() <= 1e-9 {
-                    continue;
-                }
-                // dx_B[r]/dx_j = -α_j: to move x_B[r] up (below) we need
-                // α < 0 on an increasing x_j or α > 0 on a decreasing
-                // one; the mirror for moving down.
-                let admissible = if below {
-                    (can_inc && alpha < 0.0) || (can_dec && alpha > 0.0)
-                } else {
-                    (can_inc && alpha > 0.0) || (can_dec && alpha < 0.0)
-                };
-                if !admissible {
-                    continue;
-                }
-                // |d_j| measured in the feasible direction, clamped at 0
-                // so tolerated drift never yields a negative ratio.
-                let num = match self.state[j] {
-                    VState::AtLower => dj.max(0.0),
-                    VState::AtUpper => (-dj).max(0.0),
-                    VState::FreeZero => dj.abs(),
-                    VState::Basic(_) => unreachable!(),
-                };
-                let ratio = num / alpha.abs();
-                let better = if bland {
-                    ratio < best_ratio - 1e-12
-                        || (ratio <= best_ratio + 1e-12 && (q == usize::MAX || j < q))
-                } else {
-                    ratio < best_ratio - 1e-9
-                        || (ratio <= best_ratio + 1e-9 && alpha.abs() > best_mag)
-                };
-                if better {
-                    best_ratio = best_ratio.min(ratio);
-                    best_mag = alpha.abs();
-                    q = j;
-                }
-            }
-            if q == usize::MAX {
+            // ---- Pivot row, then the dual ratio test over its nonzeros. ----
+            let Some((q, best_ratio)) = self.dual_ratio_test(r, below, bland) else {
                 return DualEnd::NoPivot;
-            }
+            };
 
             // ---- Pivot: FTRAN the entering column, step, update. ----
             for &i in &self.y_touched {
@@ -745,13 +1060,13 @@ impl<'a, B: BasisBackend> Core<'a, B> {
                     return DualEnd::NoPivot;
                 }
                 stale_retry = true;
-                self.refresh();
-                if self.singular {
-                    return DualEnd::Singular;
+                if let Err(end) = self.dual_refresh() {
+                    return end;
                 }
                 continue;
             }
             stale_retry = false;
+            self.update_reduced_costs(q, bi);
             let dxq = (self.xb[r] - target) / yr;
             for idx in 0..self.y_touched.len() {
                 let i = self.y_touched[idx];
@@ -769,6 +1084,12 @@ impl<'a, B: BasisBackend> Core<'a, B> {
             self.n_pivots += 1;
             self.n_dual_pivots += 1;
             self.backend.update_sparse(r, &self.y, &self.y_touched);
+            // The FTRAN support covers every changed value, r included.
+            for idx in 0..self.y_touched.len() {
+                if !self.note_infeasible(self.y_touched[idx]) {
+                    return DualEnd::NoPivot;
+                }
+            }
 
             self.iterations += 1;
             local_iters += 1;
@@ -785,9 +1106,8 @@ impl<'a, B: BasisBackend> Core<'a, B> {
             if self.iterations.is_multiple_of(self.opts.refresh_every)
                 || self.backend.hint_refactor()
             {
-                self.refresh();
-                if self.singular {
-                    return DualEnd::Singular;
+                if let Err(end) = self.dual_refresh() {
+                    return end;
                 }
             }
             if self.trace && self.n_dual_pivots.is_multiple_of(100) {
@@ -815,6 +1135,7 @@ impl<'a, B: BasisBackend> Core<'a, B> {
             s.counter("dual_repairs").inc();
         }
         s.counter("dual_pivots").add(self.n_dual_pivots);
+        s.counter("dual_rows_rowwise").add(self.n_dual_rowwise);
         s.counter("dual_flips").add(self.n_dual_flips);
     }
 
@@ -842,9 +1163,12 @@ impl<'a, B: BasisBackend> Core<'a, B> {
 /// A reusable starting basis, produced by an optimal solve and consumed by
 /// a later solve of the *same problem with extra rows* (the row-generation
 /// loop). Structural variables keep their states; each old row's slack
-/// keeps its state; new rows start with their slack (or a phase-1
-/// artificial) basic — the extended basis matrix is block-triangular, so
-/// it is always nonsingular and phase 1 only has to repair the new rows.
+/// keeps its state; each new row starts with its slack basic — the
+/// extended basis matrix is block-triangular, so it is always
+/// nonsingular, and it is still dual feasible, so the cut rounds are
+/// repaired by dual simplex pivots (the pivot row formed row-wise or
+/// column-wise by ρ's density). With the dual phase off, a new row whose
+/// slack value breaks its bounds gets a phase-1 artificial instead.
 #[derive(Debug, Clone)]
 pub struct WarmStart {
     n: usize,
@@ -1103,12 +1427,11 @@ fn try_solve<B: BasisBackend>(
     let mut xb = vec![0.0; m];
     let mut phase1_cost = vec![0.0; n + m];
     let mut n_art = 0usize;
-    let mut warm_ok = true;
 
     if let Some(w) = warm {
         // Positions: old-row slacks that were basic sit on their own row;
-        // structural basics fill the remaining old positions; new rows get
-        // their slack or an artificial.
+        // structural basics fill the remaining old positions; new rows are
+        // crashed below.
         let mut free_pos: Vec<usize> = Vec::new();
         for (i, b) in basis.iter_mut().enumerate().take(w.m) {
             let sj = n + i;
@@ -1122,134 +1445,74 @@ fn try_solve<B: BasisBackend>(
         let struct_basics: Vec<usize> =
             (0..n).filter(|&j| matches!(state[j], VState::Basic(_))).collect();
         if struct_basics.len() != free_pos.len() {
-            warm_ok = false; // inconsistent snapshot; fall back
-        } else {
-            for (&j, &pos) in struct_basics.iter().zip(&free_pos) {
-                basis[pos] = j;
-                state[j] = VState::Basic(pos);
-            }
-            // New rows: slack basic when the residual fits, else artificial.
-            for i in w.m..m {
-                let sj = n + i;
-                let v = resid[i];
-                let fits = v >= lb[sj] - opts.tol_feas && v <= ub[sj] + opts.tol_feas;
-                if fits {
-                    basis[i] = sj;
-                    xb[i] = v;
-                    state[sj] = VState::Basic(i);
-                } else {
-                    state[sj] = if lb[sj] == 0.0 { VState::AtLower } else { VState::AtUpper };
-                    let aj = cols.len();
-                    cols.push(vec![(i, 1.0)]);
-                    if v > 0.0 {
-                        lb.push(0.0);
-                        ub.push(f64::INFINITY);
-                        phase1_cost.push(1.0);
-                    } else {
-                        lb.push(f64::NEG_INFINITY);
-                        ub.push(0.0);
-                        phase1_cost.push(-1.0);
-                    }
-                    obj2.push(0.0);
-                    basis[i] = aj;
-                    xb[i] = v;
-                    state.push(VState::Basic(i));
-                    n_art += 1;
-                }
-            }
-            // Factorize the warm basis; block-triangular, so this succeeds
-            // unless the snapshot was corrupt (or the matrix coefficients
-            // changed enough to make the old basis singular).
-            let basis_cols: Vec<&[(usize, f64)]> =
-                basis.iter().map(|&j| cols[j].as_slice()).collect();
-            if backend.refactor(m, &basis_cols).is_err() {
-                warm_ok = false;
-            }
-        }
-        if !warm_ok {
-            // Inconsistent snapshot or singular warm basis: the caller
-            // retries cold (and records the fallback).
+            // Inconsistent snapshot: the caller retries cold (and records
+            // the fallback).
             return SolveAttempt::WarmRejected;
+        }
+        for (&j, &pos) in struct_basics.iter().zip(&free_pos) {
+            basis[pos] = j;
+            state[j] = VState::Basic(pos);
+        }
+    }
+
+    // Crash the rows the warm start does not cover (all rows when cold):
+    // slack basic where its bounds admit the residual, else a phase-1
+    // artificial. A warm start with the dual phase on makes every new
+    // row's slack basic, violated or not: the old basis extended by those
+    // slacks is still dual feasible, and the dual phase repairs the
+    // violated rows without any artificials.
+    let slack_always = warm.is_some() && opts.dual_phase;
+    for i in m_old..m {
+        let sj = n + i;
+        let v = resid[i];
+        let fits = v >= lb[sj] - opts.tol_feas && v <= ub[sj] + opts.tol_feas;
+        if fits || slack_always {
+            basis[i] = sj;
+            xb[i] = v;
+            state[sj] = VState::Basic(i);
+        } else {
+            // slack stays nonbasic at 0 (both slack kinds have 0 as a bound)
+            state[sj] = if lb[sj] == 0.0 { VState::AtLower } else { VState::AtUpper };
+            let aj = cols.len();
+            cols.push(vec![(i, 1.0)]);
+            if v > 0.0 {
+                lb.push(0.0);
+                ub.push(f64::INFINITY);
+                phase1_cost.push(1.0);
+            } else {
+                lb.push(f64::NEG_INFINITY);
+                ub.push(0.0);
+                phase1_cost.push(-1.0);
+            }
+            obj2.push(0.0);
+            basis[i] = aj;
+            xb[i] = v;
+            state.push(VState::Basic(i));
+            n_art += 1;
         }
     }
 
     let use_warm = warm.is_some();
-    if !use_warm {
-        // Cold crash: slack basic where its bounds admit the residual;
-        // else artificial.
-        for i in 0..m {
-            let sj = n + i;
-            let v = resid[i];
-            let fits = v >= lb[sj] - opts.tol_feas && v <= ub[sj] + opts.tol_feas;
-            if fits {
-                basis[i] = sj;
-                xb[i] = v;
-                state[sj] = VState::Basic(i);
-            } else {
-                // slack stays nonbasic at 0 (both slack kinds have 0 as a bound)
-                state[sj] = if lb[sj] == 0.0 { VState::AtLower } else { VState::AtUpper };
-                let aj = cols.len();
-                cols.push(vec![(i, 1.0)]);
-                if v > 0.0 {
-                    lb.push(0.0);
-                    ub.push(f64::INFINITY);
-                    phase1_cost.push(1.0);
-                } else {
-                    lb.push(f64::NEG_INFINITY);
-                    ub.push(0.0);
-                    phase1_cost.push(-1.0);
-                }
-                obj2.push(0.0);
-                basis[i] = aj;
-                xb[i] = v;
-                state.push(VState::Basic(i));
-                n_art += 1;
-            }
+    if use_warm {
+        // Factorize the warm basis; block-triangular, so this succeeds
+        // unless the snapshot was corrupt (or the matrix coefficients
+        // changed enough to make the old basis singular).
+        let basis_cols: Vec<&[(usize, f64)]> = basis.iter().map(|&j| cols[j].as_slice()).collect();
+        if backend.refactor(m, &basis_cols).is_err() {
+            return SolveAttempt::WarmRejected;
         }
+    } else {
         backend.reset_identity(m);
     }
     let ncols = cols.len();
     phase1_cost.resize(ncols, 0.0);
     let max_iters = opts.max_iters.unwrap_or(200 * (m + n) + 20_000);
-    let _ = m_old;
 
-    let mut core = Core {
-        m,
-        ncols,
-        n_struct: n,
-        cols,
-        lb,
-        ub,
-        cost: phase1_cost,
-        state,
-        basis,
-        xb,
-        rhs,
-        backend,
-        opts,
-        iterations: 0,
-        y: vec![0.0; m],
-        y_touched: Vec::new(),
-        pi: vec![0.0; m],
-        cb: vec![0.0; m],
-        rho: vec![0.0; m],
-        degen_run: 0,
-        bland: start_bland,
-        force_bland: start_bland,
-        price_section: 0,
-        trace: obs::trace_enabled(),
-        singular: false,
-        n_pivots: 0,
-        n_bound_flips: 0,
-        n_degen: 0,
-        // A warm start factorized its basis above; count it with the
-        // mid-solve refactorizations.
-        n_refactor: u64::from(use_warm),
-        n_dual_pivots: 0,
-        n_dual_flips: 0,
-        dual_attempted: false,
-        dual_repaired: false,
-    };
+    let mut core =
+        Core::new(n, cols, lb, ub, phase1_cost, state, basis, xb, rhs, backend, opts, start_bland);
+    // A warm start factorized its basis above; count it with the
+    // mid-solve refactorizations.
+    core.n_refactor = u64::from(use_warm);
 
     let fail = |core: &Core<B>, status: Status| Solution {
         status,
@@ -1265,10 +1528,11 @@ fn try_solve<B: BasisBackend>(
         if core.singular {
             return SolveAttempt::Singular;
         }
-        // Sanity: old basics must still be feasible (they were optimal for
-        // the old rows, which are untouched). A violation means the
-        // snapshot didn't match; phase 1 would misbehave, so bail to a
-        // cold solve.
+        // Sanity: basics must still be feasible, or repairable by the dual
+        // phase below; otherwise bail to a cold solve. Old rows get a
+        // 1e-6 drift allowance. When rows were appended under the dual
+        // phase, their slacks are basic and a violated cut is the point,
+        // so every basic is held to the phase's own tolerance.
         let mut worst = 0.0f64;
         let mut worst_pos = usize::MAX;
         for pos in 0..core.m {
@@ -1309,7 +1573,8 @@ fn try_solve<B: BasisBackend>(
             }
             obs::trace_event!("simplex.warm_diag", drifted = drifted, max_drift = maxdrift);
         }
-        let broken = worst > 1e-6;
+        let limit = if slack_always && m > m_old { opts.tol_feas } else { 1e-6 };
+        let broken = worst > limit;
         let mut repaired = false;
         // Primal-infeasible warm basis: before discarding it, try a dual
         // simplex repair. The old basis was optimal for the previous
@@ -1419,7 +1684,8 @@ fn try_solve<B: BasisBackend>(
     }
 
     // ---- Phase 2 ----
-    let phase1_iters = core.iterations;
+    // Dual pivots (a warm start without artificials) count as phase 2.
+    let phase1_iters = if n_art > 0 { core.iterations } else { 0 };
     core.cost = obj2;
     core.refresh();
     if core.singular {
@@ -1528,4 +1794,95 @@ pub fn solve_from(
     warm: &WarmStart,
 ) -> (Solution, Option<WarmStart>) {
     solve_warm(p, opts, Some(warm))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `min cᵀx` over `m` covering rows `Σⱼ aᵢⱼxⱼ ≥ 1` and `n` columns in
+    /// `[0, 10]` with `per_col` positive entries each, started from the
+    /// slack basis: every cost is positive and every structural sits at 0,
+    /// so the basis is dual feasible while every row is violated.
+    fn covering_core<'a>(
+        m: usize,
+        n: usize,
+        per_col: usize,
+        backend: &'a mut sparse::SparseFactors,
+        opts: &'a SolverOpts,
+    ) -> Core<'a, sparse::SparseFactors> {
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64 ^ (m as u64);
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let mut cols: Vec<Vec<(usize, f64)>> = (0..n)
+            .map(|j| {
+                // Row `j mod m` first, so every row is coverable.
+                let mut col: Vec<(usize, f64)> = (0..per_col)
+                    .map(|e| {
+                        let row = if e == 0 { j % m } else { (next() as usize) % m };
+                        (row, 0.5 + (next() % 16) as f64 / 10.0)
+                    })
+                    .collect();
+                col.sort_by_key(|&(r, _)| r);
+                col.dedup_by_key(|&mut (r, _)| r);
+                col
+            })
+            .collect();
+        let mut cost: Vec<f64> = (0..n).map(|_| 1.0 + (next() % 9) as f64).collect();
+        let (mut lb, mut ub) = (vec![0.0; n], vec![10.0; n]);
+        let mut state = vec![VState::AtLower; n];
+        for i in 0..m {
+            cols.push(vec![(i, 1.0)]);
+            cost.push(0.0);
+            lb.push(f64::NEG_INFINITY);
+            ub.push(0.0);
+            state.push(VState::Basic(i));
+        }
+        let basis: Vec<usize> = (n..n + m).collect();
+        backend.reset_identity(m);
+        let rhs = vec![1.0; m];
+        Core::new(n, cols, lb, ub, cost, state, basis, rhs.clone(), rhs, backend, opts, false)
+    }
+
+    /// Run `k` dual pivots, then check the maintained `dⱼ` against a fresh
+    /// BTRAN pricing of the same basis; returns how many pivot rows were
+    /// formed row-wise.
+    fn maintained_dj_match_fresh(m: usize, n: usize, per_col: usize, k: usize) -> u64 {
+        let opts = SolverOpts::default();
+        let mut backend = sparse::SparseFactors::new();
+        let mut core = covering_core(m, n, per_col, &mut backend, &opts);
+        assert!(core.dual_classify_and_flip(), "slack start must be dual feasible");
+        let end = core.iterate_dual(k);
+        assert!(matches!(end, DualEnd::IterLimit), "want {k} pivots without finishing");
+        assert_eq!(core.n_dual_pivots, k as u64);
+        assert_eq!(core.n_refactor, 0, "a refresh would re-price and hide drift");
+        let kept = core.d.clone();
+        core.compute_dj();
+        for (j, &a) in kept.iter().enumerate() {
+            if matches!(core.state[j], VState::Basic(_)) {
+                continue;
+            }
+            let b = core.d[j];
+            assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()), "d[{j}]: kept {a} vs fresh {b}");
+        }
+        core.n_dual_rowwise
+    }
+
+    #[test]
+    fn maintained_reduced_costs_match_fresh_pricing_row_wise() {
+        // ρ = B⁻ᵀeᵣ stays a handful of entries out of 300 rows.
+        let rowwise = maintained_dj_match_fresh(300, 400, 3, 40);
+        assert_eq!(rowwise, 40, "every pivot row should be formed row-wise");
+    }
+
+    #[test]
+    fn maintained_reduced_costs_match_fresh_pricing_column_wise() {
+        // With 8 rows a single nonzero of ρ is already over the fill cut-off.
+        let rowwise = maintained_dj_match_fresh(8, 12, 2, 3);
+        assert_eq!(rowwise, 0, "every pivot row should be formed column-wise");
+    }
 }

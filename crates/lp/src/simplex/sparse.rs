@@ -67,6 +67,23 @@ impl Eta {
     }
 }
 
+/// Apply `Eᵀ` for each eta in turn, pushing every entry that turns from
+/// zero to nonzero onto `support` (duplicates possible after an exact
+/// cancellation).
+fn sweep_transposed<'a>(
+    etas: impl Iterator<Item = &'a Eta>,
+    out: &mut [f64],
+    support: &mut Vec<usize>,
+) {
+    for eta in etas {
+        let was_zero = out[eta.pivot_row] == 0.0;
+        eta.apply_transposed(out);
+        if was_zero && out[eta.pivot_row] != 0.0 {
+            support.push(eta.pivot_row);
+        }
+    }
+}
+
 const NONE: u32 = u32::MAX;
 
 pub struct SparseFactors {
@@ -87,6 +104,9 @@ pub struct SparseFactors {
     update_budget: usize,
     /// Visited stamps per pre-eta for the heap traversal.
     stamp: std::cell::RefCell<(u32, Vec<u32>)>,
+    /// Workspace for applying the permutation, so FTRAN and BTRAN do not
+    /// allocate on every call.
+    perm_buf: std::cell::RefCell<Vec<f64>>,
 }
 
 impl SparseFactors {
@@ -100,6 +120,7 @@ impl SparseFactors {
             etas_post: Vec::new(),
             update_budget: 96,
             stamp: std::cell::RefCell::new((0, Vec::new())),
+            perm_buf: std::cell::RefCell::new(Vec::new()),
         }
     }
 
@@ -264,7 +285,9 @@ impl BasisBackend for SparseFactors {
         self.apply_pre_sparse(out, &mut touched);
         if let Some(perm) = &self.perm {
             // out'[pos] = out[perm[pos]]  (apply Pᵀ)
-            let tmp: Vec<f64> = (0..self.m).map(|pos| out[perm[pos]]).collect();
+            let mut tmp = self.perm_buf.borrow_mut();
+            tmp.clear();
+            tmp.extend(perm.iter().map(|&pr| out[pr]));
             out[..self.m].copy_from_slice(&tmp);
         }
         for eta in &self.etas_post {
@@ -279,36 +302,45 @@ impl BasisBackend for SparseFactors {
         }
         if let Some(perm) = &self.perm {
             // v ← P v : (P v)[perm[pos]] = v[pos]
-            let mut tmp = vec![0.0f64; self.m];
+            let mut tmp = self.perm_buf.borrow_mut();
+            tmp.clear();
+            tmp.extend_from_slice(&out[..self.m]);
             for (pos, &pr) in perm.iter().enumerate() {
-                tmp[pr] = out[pos];
+                out[pr] = tmp[pos];
             }
-            out[..self.m].copy_from_slice(&tmp);
         }
         for eta in self.etas_pre.iter().rev() {
             eta.apply_transposed(out);
         }
     }
 
-    fn btran_unit(&self, r: usize, out: &mut [f64]) {
-        // Same pass as `btran` but seeded with eᵣ in place — no
-        // materialized unit vector, and the transposed eta file starts
-        // from a single nonzero.
-        out[..self.m].fill(0.0);
+    fn btran_unit(&self, r: usize, out: &mut [f64], support: &mut Vec<usize>) {
+        // Same pass as `btran` but seeded with eᵣ in place: no
+        // materialized unit vector, no O(m) clear or copy, and the support
+        // grows only where a transposed eta writes a new nonzero (each eta
+        // writes just its pivot entry).
+        support.clear();
         out[r] = 1.0;
-        for eta in self.etas_post.iter().rev() {
-            eta.apply_transposed(out);
-        }
+        support.push(r);
+        sweep_transposed(self.etas_post.iter().rev(), out, support);
         if let Some(perm) = &self.perm {
-            let mut tmp = vec![0.0f64; self.m];
-            for (pos, &pr) in perm.iter().enumerate() {
-                tmp[pr] = out[pos];
+            // Move the support's values from positions to their pivot rows.
+            // A position listed twice (cancelled, then refilled) carries a
+            // zero the second time and writes nothing.
+            let mut vals = self.perm_buf.borrow_mut();
+            vals.clear();
+            for &pos in support.iter() {
+                vals.push(out[pos]);
+                out[pos] = 0.0;
             }
-            out[..self.m].copy_from_slice(&tmp);
+            for (slot, &v) in support.iter_mut().zip(vals.iter()) {
+                *slot = perm[*slot];
+                if v != 0.0 {
+                    out[*slot] = v;
+                }
+            }
         }
-        for eta in self.etas_pre.iter().rev() {
-            eta.apply_transposed(out);
-        }
+        sweep_transposed(self.etas_pre.iter().rev(), out, support);
     }
 
     fn update(&mut self, pivot_row: usize, y: &[f64]) {
@@ -324,26 +356,25 @@ impl BasisBackend for SparseFactors {
             out[r] += a;
         }
         self.apply_pre_sparse(out, touched);
-        if self.perm.is_some() {
+        if let Some(inv) = &self.inv_perm {
             // Permute sparsely: move values from rows to positions.
-            let inv = self.inv_perm.as_ref().expect("inv_perm built with perm");
-            let vals: Vec<(usize, f64)> = touched
-                .iter()
-                .map(|&r| {
-                    let v = out[r];
-                    out[r] = 0.0;
-                    (inv[r], v)
-                })
-                .collect();
-            touched.clear();
-            for (pos, v) in vals {
+            let mut vals = self.perm_buf.borrow_mut();
+            vals.clear();
+            for &r in touched.iter() {
+                vals.push(out[r]);
+                out[r] = 0.0;
+            }
+            let mut kept = 0;
+            for k in 0..touched.len() {
+                let v = vals[k];
                 if v != 0.0 {
-                    if out[pos] == 0.0 {
-                        touched.push(pos);
-                    }
-                    out[pos] += v;
+                    let pos = inv[touched[k]];
+                    out[pos] = v;
+                    touched[kept] = pos;
+                    kept += 1;
                 }
             }
+            touched.truncate(kept);
         }
         for eta in &self.etas_post {
             let t = out[eta.pivot_row];
@@ -496,11 +527,16 @@ mod tests {
             sp.update(r, &ys);
             de.update(r, &yd);
         }
+        let mut support = Vec::new();
         for r in 0..m {
             let mut rs = vec![0.0; m];
             let mut rd = vec![0.0; m];
-            sp.btran_unit(r, &mut rs);
-            de.btran_unit(r, &mut rd);
+            sp.btran_unit(r, &mut rs, &mut support);
+            for (i, &v) in rs.iter().enumerate() {
+                let listed = support.contains(&i);
+                assert!(listed || v == 0.0, "row {r}: nonzero {i} missing from {support:?}");
+            }
+            de.btran_unit(r, &mut rd, &mut Vec::new());
             for i in 0..m {
                 assert!((rs[i] - rd[i]).abs() < 1e-9, "row {r} col {i}: {rs:?} vs {rd:?}");
             }

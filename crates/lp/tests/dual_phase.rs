@@ -2,6 +2,10 @@
 //! basis that is still dual feasible must be repaired in place (counted
 //! as a warm-start hit), not discarded for a cold re-solve.
 //!
+//! Row generation relies on the same phase: rows appended to an optimal
+//! basis in violation are repaired by dual pivots, with no phase-1
+//! artificials, unless the dual phase is switched off.
+//!
 //! The file also pins the warm-start accounting that the dual phase
 //! reports through: the factorization of a restored basis counts as a
 //! refactorization.
@@ -154,4 +158,75 @@ fn warm_start_factorization_counts_as_refactorization() {
     assert_eq!(ctr("simplex.warmstart_hits") - hits0, 1, "restart must be a warm hit");
     assert_eq!(refac1 - refac0, 0, "cold solve from the slack basis");
     assert_eq!(refac2 - refac1, 1, "warm solve factorizes its basis once");
+}
+
+/// `max Σ xⱼ` over ten `[0, 1]` columns; with `cuts`, also the ten cycle
+/// rows `xₐ + xₐ₊₁ ≤ 1`, every one of which the all-ones optimum of the
+/// plain problem violates (optimum 5 with them).
+fn cycle_lp(cuts: bool) -> Problem {
+    let mut p = Problem::new(Sense::Max);
+    let x: Vec<_> = (0..10).map(|j| p.add_var(format!("x{j}"), 0.0, 1.0, 1.0)).collect();
+    if cuts {
+        for a in 0..10 {
+            p.add_con(format!("cut{a}"), &[(x[a], 1.0), (x[(a + 1) % 10], 1.0)], Cmp::Le, 1.0);
+        }
+    }
+    p
+}
+
+/// Warm-start `cycle_lp(true)` from the optimum of `cycle_lp(false)` under
+/// `opts`; returns the solution and the deltas of `counters`.
+fn solve_with_appended_cuts(opts: &SolverOpts, counters: &[&str]) -> (f64, Vec<u64>) {
+    let (_, snap) = solve_warm(&cycle_lp(false), opts, None);
+    let before: Vec<u64> = counters.iter().map(|c| ctr(c)).collect();
+    let (sol, _) = solve_warm(&cycle_lp(true), opts, snap.as_ref());
+    assert_eq!(sol.status, Status::Optimal);
+    let deltas = counters.iter().zip(&before).map(|(c, b)| ctr(c) - b).collect();
+    (sol.objective, deltas)
+}
+
+const CUT_COUNTERS: [&str; 5] = [
+    "simplex.phase1_iterations",
+    "simplex.dual_phase_runs",
+    "simplex.dual_repairs",
+    "simplex.warmstart_hits",
+    "simplex.warmstart_fallbacks",
+];
+
+#[test]
+fn appended_violated_rows_repaired_by_dual_pivots() {
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    let was = obs::enabled();
+    obs::set_enabled(true);
+    let cold = solve_warm(&cycle_lp(true), &SolverOpts::default(), None).0;
+    let pivots0 = ctr("simplex.dual_pivots");
+    let (obj, d) = solve_with_appended_cuts(&SolverOpts::default(), &CUT_COUNTERS);
+    let pivots = ctr("simplex.dual_pivots") - pivots0;
+    obs::set_enabled(was);
+
+    assert!((obj - cold.objective).abs() <= 1e-9 * (1.0 + cold.objective.abs()), "{obj}");
+    assert!((obj - 5.0).abs() < 1e-9, "the 10-cycle packs 5: {obj}");
+    assert_eq!(d[0], 0, "no phase-1 pivots: the new rows' slacks start basic");
+    assert_eq!(d[1], 1, "one dual phase");
+    assert_eq!(d[2], 1, "it repairs the appended rows");
+    assert_eq!(d[3], 1, "a warm hit");
+    assert_eq!(d[4], 0, "no cold fallback");
+    assert!(pivots > 0, "the repair pivots");
+}
+
+#[test]
+fn appended_rows_take_the_artificial_path_without_dual_phase() {
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    let was = obs::enabled();
+    obs::set_enabled(true);
+    let opts = SolverOpts { dual_phase: false, ..Default::default() };
+    let cold = solve_warm(&cycle_lp(true), &opts, None).0;
+    let (obj, d) = solve_with_appended_cuts(&opts, &CUT_COUNTERS);
+    obs::set_enabled(was);
+
+    assert!((obj - cold.objective).abs() <= 1e-9 * (1.0 + cold.objective.abs()), "{obj}");
+    assert!(d[0] > 0, "violated appended rows get phase-1 artificials");
+    assert_eq!(d[1], 0, "no dual phase");
+    assert_eq!(d[3], 1, "still a warm hit");
+    assert_eq!(d[4], 0, "no cold fallback");
 }
